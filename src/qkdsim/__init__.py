@@ -2,25 +2,8 @@
 bright-light detector-control attack on its paired single-photon
 detectors, and the coincidence-monitoring countermeasure."""
 
-from .attack import (
-    AttackConfig,
-    AttackPlan,
-    EveMeasurement,
-    PulseProgram,
-    assemble_attack_program,
-    build_blinding_segment,
-    build_recovery_window,
-    eve_measure,
-)
-from .detector import (
-    ClickEvent,
-    Detector,
-    DetectorParams,
-    DetectorState,
-    count_rate_sweep,
-    dBm_to_photons,
-    photons_to_dBm,
-)
+from .attack import AttackConfig
+from .detector import DetectorParams
 from .engine import (
     ConfigError,
     RunMetrics,
@@ -29,33 +12,7 @@ from .engine import (
     run_scenario,
     run_sweep,
 )
-from .optics import (
-    BandpassFilter,
-    CouplerModel,
-    PortIntensities,
-    SlotField,
-    apply_bandpass,
-    attenuate,
-    coupler_split,
-    mzi_interfere,
-    mzi_interfere_fields,
-)
-from .protocol import (
-    AliceRecord,
-    ClickLog,
-    KeyRateInputs,
-    NoDataError,
-    SiftResult,
-    alice_emit,
-    attack_fraction_estimate,
-    ccr_estimate,
-    ccr_measure,
-    detector_statistics_check,
-    qber,
-    secure_fraction,
-    secure_key_length,
-    sift,
-)
-from .rng import RunStreams, SlotRng, child_seed, derive_seed
+from .optics import BandpassFilter, CouplerModel
+from .protocol import ClickLog
 
 __version__ = "0.1.0"

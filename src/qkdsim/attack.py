@@ -1,4 +1,5 @@
-"""Eve: bright-light detector-control pulse programs.
+"""Eve: her measurement of Alice's pulses and the bright-light
+detector-control pulse stream she sends to Bob.
 
 The attack holds all four of Bob's detectors latched high with a bright
 pulse stream whose phases repeat the {0, 0, pi, pi} pattern, so the phase
@@ -15,8 +16,8 @@ attacked cycle contains its own re-blinding edge as its final slot, so a
 cycle produces its fake click regardless of whether the next cycle is
 attacked or passes Alice's genuine light through.
 
-Phases are tracked as pi-parities (phase = pi * bit); every program phase
-is 0 or pi.
+Phases are tracked as pi-parities (phase = pi * bit); every phase Eve
+sends is 0 or pi.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import AliceRecord
 from .rng import SlotRng
 
 PORT1, PORT2 = 1, 2
@@ -63,57 +63,18 @@ class AttackConfig:
         return self.blinding_slots + self.recovery_window_slots
 
 
-@dataclass(frozen=True)
-class EveMeasurement:
-    """Per-slot outcomes of Eve's ideal interferometer at Alice's output:
-    0 = no click, 1 = port 1 (phase difference 0), 2 = port 2 (pi)."""
+def eve_outcome(slots, mu: float, rng: SlotRng, alice_parity_at) -> np.ndarray:
+    """Outcomes of Eve's interferometer on Alice's pulses in `slots`:
+    0 = no click, 1 = port 1 (phase difference 0), 2 = port 2 (pi).
 
-    outcomes: np.ndarray
-
-    def outcome_at(self, slot: int) -> int:
-        return int(self.outcomes[slot])
-
-
-def alice_parity_bits(alice: AliceRecord) -> np.ndarray:
-    """Alice's phases as pi-parities (0 -> 0, pi -> 1)."""
-    return (np.rint(alice.phases / math.pi).astype(np.int64) & 1).astype(np.uint8)
-
-
-def eve_measure(alice: AliceRecord, rng: SlotRng) -> EveMeasurement:
-    """Measure Alice's pulse train with ideal apparatus (unit efficiency,
-    lossless, dark-free) before the channel; a slot clicks with probability
-    1 - e^{-mu} and the outcome port is determined by its phase difference.
+    Eve measures before the channel with ideal apparatus (unit efficiency,
+    lossless, dark-free), so a slot clicks with probability 1 - e^{-mu}.
+    Slot 0 has no predecessor phase and never clicks.
     """
-    n = len(alice)
-    p_click = 1.0 - math.exp(-alice.mean_photons_per_pulse)
-    u = rng.uniform_at(np.arange(n, dtype=np.uint64))
-    parity = alice_parity_bits(alice)
-    dphi = np.zeros(n, dtype=np.int8)
-    dphi[1:] = parity[1:] ^ parity[:-1]
-    outcomes = np.where(u < p_click, np.where(dphi == 0, PORT1, PORT2), 0).astype(np.int8)
-    outcomes[0] = 0  # no predecessor phase
-    return EveMeasurement(outcomes=outcomes)
-
-
-@dataclass(frozen=True)
-class PulseProgram:
-    """Per-slot channel output substituted by Eve (or passed through)."""
-
-    mean_photons: np.ndarray
-    phase: np.ndarray
-    wavelength_nm: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.mean_photons)
-
-    def write_csv(self, path, start_slot: int = 0) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("slot,mean_photons,phase,wavelength_nm\n")
-            for i in range(len(self)):
-                f.write(
-                    f"{start_slot + i},{float(self.mean_photons[i])!r},"
-                    f"{float(self.phase[i])!r},{float(self.wavelength_nm[i])!r}\n"
-                )
+    s = np.asarray(slots, dtype=np.int64)
+    clicked = (rng.uniform_at(s) < 1.0 - math.exp(-mu)) & (s > 0)
+    same = alice_parity_at(s) == alice_parity_at(s - 1)
+    return np.where(clicked, np.where(same, PORT1, PORT2), 0).astype(np.int8)
 
 
 def _blinding_parity(j, entry_parity):
@@ -121,49 +82,6 @@ def _blinding_parity(j, entry_parity):
     preceding slot: the first slot flips (difference pi), then differences
     alternate 0, pi -- the {0,0,pi,pi} repetition."""
     return (entry_parity ^ ((j // 2 + 1) & 1)).astype(np.uint8)
-
-
-def build_blinding_segment(
-    n_slots: int, cfg: AttackConfig, previous_phase: float = math.pi
-) -> PulseProgram:
-    """Bright {0,0,pi,pi}-patterned stream; consecutive phase differences
-    alternate pi, 0, so the light alternates ports every slot."""
-    if n_slots < 4:
-        raise ValueError("blinding segment needs n_slots >= 4")
-    entry = round(previous_phase / math.pi) & 1
-    parity = _blinding_parity(np.arange(n_slots, dtype=np.int64), entry)
-    return PulseProgram(
-        mean_photons=np.full(n_slots, cfg.blind_photons_per_slot),
-        phase=parity.astype(np.float64) * math.pi,
-        wavelength_nm=np.full(n_slots, cfg.blind_wavelength_nm),
-    )
-
-
-def build_recovery_window(
-    target_port: int, n_slots: int, cfg: AttackConfig, previous_phase: float = 0.0
-) -> PulseProgram:
-    """Darken `target_port` for `n_slots` while keeping the other port bright.
-
-    Recovering port 2 takes a constant phase (difference 0 routes all light
-    to port 1); recovering port 1 takes alternating phases (difference pi
-    every slot routes all light to port 2).  The first slot continues from
-    `previous_phase` so no unintended transient difference occurs.
-    """
-    if n_slots < 1:
-        raise ValueError("recovery window needs n_slots >= 1")
-    if target_port not in (PORT1, PORT2):
-        raise ValueError("target_port must be 1 or 2")
-    entry = round(previous_phase / math.pi) & 1
-    i = np.arange(n_slots, dtype=np.int64)
-    if target_port == PORT2:
-        parity = np.full(n_slots, entry, dtype=np.uint8)
-    else:
-        parity = (entry ^ ((i + 1) & 1)).astype(np.uint8)
-    return PulseProgram(
-        mean_photons=np.full(n_slots, cfg.blind_photons_per_slot),
-        phase=parity.astype(np.float64) * math.pi,
-        wavelength_nm=np.full(n_slots, cfg.blind_wavelength_nm),
-    )
 
 
 class AttackPlan:
@@ -177,8 +95,8 @@ class AttackPlan:
     Pass-through cycles carry Alice's genuine attenuated pulses.
 
     `alice_parity_at` maps slot indices to Alice's phase parities;
-    `eve_outcome_at` maps a slot index to Eve's outcome there (0/1/2) and
-    is consulted only in intercept mode.
+    `eve_outcome_at` maps an array of slot indices to Eve's outcomes there
+    (see `eve_outcome`) and is consulted only in intercept mode.
     """
 
     def __init__(
@@ -210,30 +128,27 @@ class AttackPlan:
             attacked = cycle_rng.uniform_at(np.arange(self.n_cycles, dtype=np.uint64)) < q
         self.attacked = attacked
 
-        self.targets = np.zeros(self.n_cycles, dtype=np.int8)  # 0 = unserved
+        # Target pair of each cycle's re-blinding edge; 0 = unserved.
+        self.targets = np.zeros(self.n_cycles, dtype=np.int8)
+        complete = (np.arange(self.n_cycles) + 1) * C <= n_slots
+        served = attacked & complete
+        if cfg.mode == "emulation":
+            self.targets[served] = PORT2
+        else:
+            self.targets[served] = eve_outcome_at((np.flatnonzero(served) + 1) * C - 1)
+
         self.entry_parity = np.zeros(self.n_cycles, dtype=np.uint8)
         parity = 0  # parity of the slot preceding the cycle
         for k in range(self.n_cycles):
             self.entry_parity[k] = parity
-            start = k * C
+            target = self.targets[k]
             if not attacked[k]:
-                last = min(start + C, n_slots) - 1
-                parity = int(alice_parity_at(last))
-                continue
-            target = 0
-            if start + C <= n_slots:
-                edge_slot = start + C - 1
-                if cfg.mode == "emulation":
-                    target = PORT2
-                else:
-                    target = int(eve_outcome_at(edge_slot))
-            self.targets[k] = target
-            if target == 0:
+                parity = int(alice_parity_at(min((k + 1) * C, n_slots) - 1))
+            elif target == 0:
                 parity ^= ((C - 1) // 2 + 1) & 1  # blinding throughout
             elif target == PORT1:
                 parity ^= (cfg.recovery_window_slots & 1) ^ 1
             # target PORT2: the edge slot's parity equals the entry parity
-        self.served_cycles = int(np.count_nonzero(self.targets))
 
     def _attacked_cycle_parity(self, j: np.ndarray, p0: int, target: int) -> np.ndarray:
         """Parity at within-cycle offsets j of an attacked cycle."""
@@ -282,45 +197,6 @@ class AttackPlan:
             pos = end
             k += 1
         return mean, parity, lam
-
-
-def assemble_attack_program(
-    measurements: EveMeasurement | None,
-    cfg: AttackConfig,
-    n_slots: int,
-    alice: AliceRecord,
-    channel_loss_dB: float = 18.0,
-    signal_wavelength_nm: float = 1551.0,
-    cycle_rng: SlotRng | None = None,
-) -> PulseProgram:
-    """Materialize the full channel-output program Bob will see.
-
-    In intercept mode Eve's outcome at each cycle's re-blinding slot picks
-    the target pair; emulation mode serves port 2 every attacked cycle.
-    Pass-through cycles (attacked_fraction < 1, decided per cycle from
-    `cycle_rng`) carry Alice's pulses attenuated by the channel loss.
-    """
-    if cfg.mode == "intercept_resend" and measurements is None:
-        raise ValueError("intercept_resend needs Eve's measurements")
-    parity = alice_parity_bits(alice)
-
-    def parity_at(s):
-        return parity[np.asarray(s, dtype=np.int64)]
-
-    plan = AttackPlan(
-        cfg,
-        n_slots,
-        alice.mean_photons_per_pulse * 10.0 ** (-channel_loss_dB / 10.0),
-        signal_wavelength_nm,
-        parity_at,
-        cycle_rng or SlotRng(0),
-        eve_outcome_at=measurements.outcome_at if measurements is not None else None,
-    )
-    mean, pbits, lam = plan.channel_fields(0, n_slots)
-    return PulseProgram(
-        mean_photons=mean, phase=pbits.astype(np.float64) * math.pi, wavelength_nm=lam
-    )
-
 
 def validate_against_detectors(cfg: AttackConfig, recovery_slots: int) -> None:
     """Warn when the recovery window is too short for the detectors to

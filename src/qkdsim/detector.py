@@ -15,10 +15,10 @@ dead time latches the output high without a rising edge, so the detector
 moves to Blinded silently; any bright slot also cancels a pending dead
 time for the same reason.
 
-`Detector.step` is the slot-by-slot reference implementation;
-`simulate_block` is the vectorized equivalent used by the engine for long
-runs.  Both consume one uniform variate per dim slot from the same
-counter-based stream, so they produce identical click sequences.
+`simulate_block` is the detector stage the engine runs, over a chunk of
+slots at a time.  `Detector.step` is the slot-by-slot reference it is
+tested against: both read the same counter-based variate for a slot, so
+they produce identical click sequences.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
-"""Scenario runner: source/attack -> channel -> filter -> interferometer ->
-couplers -> four detectors -> click log -> metrics.
+"""Scenario runner: a pipeline of one call per physical stage.
 
-A run is strictly sequential over slots but processed in vectorized
-chunks; every random draw is counter-based (see `rng`), so the click log
-and metrics are byte-identical for a given config regardless of chunking
-or sweep parallelism.
+Each chunk of slots passes source or attack fields (`attack.AttackPlan`)
+-> band-pass filter -> interferometer -> couplers (`optics`) -> four
+detectors (`detector.simulate_block`); the run's merged click log is then
+sifted once (`protocol.sift`) and reduced to metrics.  Only the last
+slot's mean and phase parity carry over from one chunk to the next, and
+every random draw is counter-based (see `rng`), so the click log and
+metrics are byte-identical for a given config regardless of chunking or
+sweep parallelism.
 
 Default calibration
 -------------------
@@ -26,6 +29,7 @@ same effective eta; only the product matters here.)
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -34,22 +38,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack import AttackConfig, AttackPlan, PORT1, PORT2, validate_against_detectors
+from .attack import AttackConfig, AttackPlan, eve_outcome, validate_against_detectors
 from .detector import BlockState, DetectorParams, simulate_block
-from .optics import BandpassFilter, CouplerModel
+from .optics import BandpassFilter, CouplerModel, mzi_ports
 from .protocol import (
+    AliceSource,
     ClickLog,
     KeyRateInputs,
     NoDataError,
     SiftResult,
-    _classify_slot_events,
     attack_fraction_estimate,
     ccr_estimate,
     ccr_measure,
     qber,
     secure_fraction,
+    sift,
 )
-from .rng import RunStreams, SlotRng, child_seed
+from .rng import RunStreams, child_seed
 
 CHUNK_SLOTS = 1 << 20
 
@@ -101,6 +106,10 @@ class ScenarioConfig:
         return 10.0 ** (-self.channel_loss_dB / 10.0)
 
     def validate(self) -> None:
+        for name in ("clock_hz", "mu", "channel_loss_dB", "signal_wavelength_nm",
+                     "error_correction_f"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, "must be finite")
         if self.clock_hz <= 0.0:
             raise ConfigError("clock_hz", "must be > 0")
         if self.n_slots < 2:
@@ -160,58 +169,10 @@ class RunMetrics:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
-class _AliceSource:
-    """Slot-indexed access to Alice's phase parities and key bits."""
-
-    def __init__(self, mode: str, rng: SlotRng):
-        self.mode = mode
-        self.rng = rng
-
-    def parity_at(self, slots):
-        s = np.asarray(slots, dtype=np.int64)
-        if self.mode == "random":
-            return self.rng.bit_at(s.astype(np.uint64))
-        return (s % 2).astype(np.uint8)
-
-    def key_bits_at(self, slots: np.ndarray) -> np.ndarray:
-        """Key bits of slots >= 1 (phase difference to the predecessor)."""
-        if self.mode == "static_0pi":
-            return np.ones(len(slots), dtype=np.uint8)
-        return self.parity_at(slots) ^ self.parity_at(slots - 1)
-
-
-class _SiftAccumulator:
-    """Streaming sift: classifies each chunk's click slots as they appear,
-    using the same per-slot classifier as `protocol.sift`."""
-
-    def __init__(self, alice: _AliceSource):
-        self.alice = alice
-        self.result = SiftResult()
-        self._kept = []
-        self._bob_bits = []
-
-    def add_chunk(self, slots: np.ndarray, dets: np.ndarray) -> None:
-        if len(slots) == 0:
-            return
-        groups = []
-        boundaries = np.flatnonzero(np.diff(slots)) + 1
-        start = 0
-        for end in list(boundaries) + [len(slots)]:
-            groups.append((int(slots[start]), [int(d) for d in dets[start:end]]))
-            start = end
-        kept, b_bits = _classify_slot_events(self.result, groups)
-        self._kept.extend(kept)
-        self._bob_bits.extend(b_bits)
-
-    def finish(self) -> SiftResult:
-        kept = np.asarray(self._kept, dtype=np.int64)
-        self.result.kept_slots = kept
-        self.result.alice_bits = self.alice.key_bits_at(kept)
-        self.result.bob_bits = np.asarray(self._bob_bits, dtype=np.uint8)
-        return self.result
+        return (
+            json.dumps(self.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
+            + "\n"
+        )
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
@@ -222,22 +183,14 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     """
     cfg.validate()
     streams = RunStreams(cfg.seed)
-    alice = _AliceSource(cfg.alice_mode, streams.alice)
-    T = cfg.transmission
-    signal_mean = cfg.mu * T
+    alice = AliceSource(cfg.alice_mode, streams.alice)
+    signal_mean = cfg.mu * cfg.transmission
 
     plan = None
     if cfg.attack.enabled:
-        eve_outcome_at = None
-        if cfg.attack.mode == "intercept_resend":
-            p_eve = 1.0 - math.exp(-cfg.mu)
-
-            def eve_outcome_at(slot: int) -> int:
-                if float(streams.eve.uniform_at(slot)) >= p_eve:
-                    return 0
-                same = int(alice.parity_at(slot)) == int(alice.parity_at(slot - 1))
-                return PORT1 if same else PORT2
-
+        eve = functools.partial(
+            eve_outcome, mu=cfg.mu, rng=streams.eve, alice_parity_at=alice.parity_at
+        )
         plan = AttackPlan(
             cfg.attack,
             cfg.n_slots,
@@ -245,18 +198,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
             cfg.signal_wavelength_nm,
             alice.parity_at,
             streams.cycles,
-            eve_outcome_at,
+            eve,
         )
 
-    filt = cfg.filter
-    coupler = cfg.coupler
-    det_params = cfg.detectors
     det_states = [BlockState() for _ in range(4)]
-    acc = _SiftAccumulator(alice)
-    log_slots, log_dets = [], []
-
+    det_clicks = [[] for _ in range(4)]
     mean_prev = 0.0
-    amp_prev = 0.0
     parity_prev = np.uint8(0)
     const_mean = None  # reused buffer for attack-free chunks
 
@@ -264,87 +211,30 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     try:
         for lo in range(0, cfg.n_slots, CHUNK_SLOTS):
             hi = min(lo + CHUNK_SLOTS, cfg.n_slots)
-            n = hi - lo
             slots = np.arange(lo, hi, dtype=np.int64)
-            slots64 = slots.astype(np.uint64)
 
             if plan is not None:
                 mean, parity, lam = plan.channel_fields(lo, hi)
             else:
-                if const_mean is None or len(const_mean) != n:
-                    const_mean = np.full(n, signal_mean)
-                mean = const_mean
-                parity = alice.parity_at(slots)
-                lam = None  # uniform signal wavelength
+                if const_mean is None or len(const_mean) != hi - lo:
+                    const_mean = np.full(hi - lo, signal_mean)
+                mean, parity = const_mean, alice.parity_at(slots)
+                lam = cfg.signal_wavelength_nm
+            mean = cfg.filter.apply(mean, lam)
 
-            if filt.enabled:
-                lam_arr = np.full(n, cfg.signal_wavelength_nm) if lam is None else lam
-                out_of_band = np.abs(lam_arr - filt.center_nm) > filt.width_nm / 2.0
-                if out_of_band.any():
-                    mean = np.where(
-                        out_of_band,
-                        mean * 10.0 ** (-filt.out_of_band_suppression_dB / 10.0),
-                        mean,
-                    )
-
-            # Interferometer: combine each slot's amplitude with its predecessor.
-            amp = np.sqrt(mean)
-            amp_shift = np.empty_like(amp)
-            amp_shift[0] = amp_prev
-            amp_shift[1:] = amp[:-1]
-            mean_shift = np.empty_like(mean)
-            mean_shift[0] = mean_prev
-            mean_shift[1:] = mean[:-1]
             dparity = np.empty_like(parity)
             dparity[0] = parity[0] ^ parity_prev
             dparity[1:] = parity[1:] ^ parity[:-1]
             if cfg.phase_flip_prob > 0.0:
-                flips = streams.flip.uniform_at(slots64) < cfg.phase_flip_prob
-                dparity = dparity ^ flips
-            cos_dphi = 1.0 - 2.0 * dparity.astype(np.float64)
-            cross = 2.0 * amp * amp_shift * cos_dphi
-            base = mean + mean_shift
-            port1 = (base + cross) * 0.25
-            port2 = (base - cross) * 0.25
-            np.maximum(port1, 0.0, out=port1)
-            np.maximum(port2, 0.0, out=port2)
+                dparity ^= streams.flip.uniform_at(slots) < cfg.phase_flip_prob
+            port1, port2 = mzi_ports(mean, 1.0 - 2.0 * dparity, mean_prev)
+            incidents = (*cfg.coupler.split(port1, lam), *cfg.coupler.split(port2, lam))
 
-            if coupler.ratio_slope_per_nm == 0.0 or lam is None:
-                r = coupler.ratio(cfg.signal_wavelength_nm if lam is None else lam[0])
-                r = float(r)
-            else:
-                r = np.clip(
-                    0.5 + coupler.ratio_slope_per_nm * (lam - coupler.center_wavelength_nm),
-                    0.0,
-                    1.0,
-                )
-            incidents = (r * port1, (1.0 - r) * port1, r * port2, (1.0 - r) * port2)
-
-            chunk_slots, chunk_dets = [], []
-            for i in range(4):
-                clicks = simulate_block(
-                    incidents[i],
-                    lo,
-                    det_params[i],
-                    det_states[i],
-                    streams.detectors[i],
-                    slots=slots,
-                )
-                if len(clicks):
-                    chunk_slots.append(clicks)
-                    chunk_dets.append(np.full(len(clicks), i + 1, dtype=np.int8))
-
-            if chunk_slots:
-                cs = np.concatenate(chunk_slots)
-                cd = np.concatenate(chunk_dets)
-                order = np.lexsort((cd, cs))
-                cs, cd = cs[order], cd[order]
-                log_slots.append(cs)
-                log_dets.append(cd)
-                acc.add_chunk(cs, cd)
-
+            for clicks, incident, params, state, rng in zip(
+                det_clicks, incidents, cfg.detectors, det_states, streams.detectors
+            ):
+                clicks.append(simulate_block(incident, lo, params, state, rng, slots=slots))
             mean_prev = float(mean[-1])
-            amp_prev = float(amp[-1])
             parity_prev = parity[-1]
     except Exception as exc:
         hi = min(lo + CHUNK_SLOTS, cfg.n_slots)
@@ -352,12 +242,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
             f"scenario failed while simulating slots [{lo}, {hi}): {exc}"
         ) from exc
 
-    log = ClickLog(
-        slots=np.concatenate(log_slots) if log_slots else np.empty(0, np.int64),
-        detector_ids=np.concatenate(log_dets) if log_dets else np.empty(0, np.int8),
-    )
-    sres = acc.finish()
-    return log, compute_metrics(cfg, sres, log)
+    log = ClickLog.merge([np.concatenate(c) for c in det_clicks])
+    return log, compute_metrics(cfg, sift(log, alice.key_bits_at), log)
 
 
 def compute_metrics(cfg: ScenarioConfig, sres: SiftResult, log: ClickLog) -> RunMetrics:

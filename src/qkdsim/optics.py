@@ -1,9 +1,11 @@
-"""Optical chain models: attenuation, band-pass filtering, the one-slot-delay
-Mach-Zehnder interferometer, and the wavelength-dependent output couplers.
+"""Optical chain stages: the band-pass filter, the one-slot-delay Mach-Zehnder
+interferometer, and the wavelength-dependent output couplers.
 
-All light is carried as a mean photon number per slot; Poisson statistics
-enter only at the detectors.  The interferometer is lossless: each slot's
-two output-port intensities sum to the interfering input mean.
+Each stage maps arrays over a chunk of consecutive slots.  All light is
+carried as a mean photon number per slot; Poisson statistics enter only at
+the detectors.  A wavelength argument is either one value per slot or a
+single value for the whole chunk, so a chunk of uniform signal light never
+builds a wavelength array.
 """
 
 from __future__ import annotations
@@ -11,37 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class SlotField:
-    """Optical state of one clock slot.
-
-    `phase` is stored modulo 2*pi; `mean_photons` is a mean photon number
-    per slot (dimensionless), valid for both weak signal and bright attack
-    light.
-    """
-
-    slot: int
-    mean_photons: float
-    phase: float
-    wavelength_nm: float
-
-    def __post_init__(self):
-        if self.mean_photons < 0.0:
-            raise ValueError(f"mean_photons must be >= 0, got {self.mean_photons}")
-        if self.wavelength_nm <= 0.0:
-            raise ValueError(f"wavelength_nm must be > 0, got {self.wavelength_nm}")
-        object.__setattr__(self, "phase", self.phase % TWO_PI)
-
-
-@dataclass(frozen=True)
-class PortIntensities:
-    """Mean photons per slot at the two interferometer output ports."""
-
-    port1_mean: float
-    port2_mean: float
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,8 +29,22 @@ class CouplerModel:
     ratio_slope_per_nm: float = 0.0
 
     def ratio(self, wavelength_nm):
-        r = 0.5 + self.ratio_slope_per_nm * (wavelength_nm - self.center_wavelength_nm)
-        return min(1.0, max(0.0, r))
+        if self.ratio_slope_per_nm == 0.0:
+            return 0.5
+        return np.clip(
+            0.5 + self.ratio_slope_per_nm * (wavelength_nm - self.center_wavelength_nm),
+            0.0,
+            1.0,
+        )
+
+    def split(self, port, wavelength_nm):
+        """Split one port's light between its detector pair.
+
+        Returns (det_a, det_b) with det_a the ratio-r share.  Both are
+        non-negative and det_a + det_b == port exactly in floating point.
+        """
+        det_b = port - self.ratio(wavelength_nm) * port
+        return port - det_b, det_b
 
 
 @dataclass(frozen=True)
@@ -81,88 +67,44 @@ class BandpassFilter:
         if self.out_of_band_suppression_dB < 0.0:
             raise ValueError("out_of_band_suppression_dB must be >= 0")
 
-    def transmission(self, wavelength_nm) -> float:
+    def apply(self, mean, wavelength_nm):
+        """Mean photons per slot behind the filter; `mean` itself when all
+        of the light is in band or the filter is disabled."""
         if not self.enabled:
-            return 1.0
-        if abs(wavelength_nm - self.center_nm) <= self.width_nm / 2.0:
-            return 1.0
-        return 10.0 ** (-self.out_of_band_suppression_dB / 10.0)
+            return mean
+        out_of_band = np.abs(wavelength_nm - self.center_nm) > self.width_nm / 2.0
+        if not out_of_band.any():
+            return mean
+        return np.where(
+            out_of_band, mean * 10.0 ** (-self.out_of_band_suppression_dB / 10.0), mean
+        )
 
 
-def attenuate(field: SlotField, loss_dB: float) -> SlotField:
-    """Attenuate a slot field by `loss_dB`; gain is not modeled."""
-    if not math.isfinite(loss_dB):
-        raise ValueError("loss_dB must be finite")
-    if loss_dB < 0.0:
-        raise ValueError("negative loss_dB (gain) is not modeled")
-    return SlotField(
-        slot=field.slot,
-        mean_photons=field.mean_photons * 10.0 ** (-loss_dB / 10.0),
-        phase=field.phase,
-        wavelength_nm=field.wavelength_nm,
-    )
+def mzi_ports(mean: np.ndarray, cos_dphi: np.ndarray, prev_mean: float):
+    """Output-port intensities (port1, port2) of the lossless interferometer.
 
+    Each pulse splits between the short and the delayed arm, so slot k
+    combines the amplitude sqrt(m_k) e^{i phi_k} with its predecessor's
+    sqrt(m_{k-1}) e^{i phi_{k-1}}, each port taking a quarter share:
 
-def apply_bandpass(field: SlotField, filt: BandpassFilter) -> SlotField:
-    """Pass a slot field through the band-pass filter."""
-    t = filt.transmission(field.wavelength_nm)
-    if t == 1.0:
-        return field
-    return SlotField(
-        slot=field.slot,
-        mean_photons=field.mean_photons * t,
-        phase=field.phase,
-        wavelength_nm=field.wavelength_nm,
-    )
+        port1/2 = (m_k + m_{k-1} +/- 2 sqrt(m_k m_{k-1}) cos dphi_k) / 4
 
-
-def mzi_interfere(
-    current_phase: float, previous_phase: float, interfering_mean: float
-) -> PortIntensities:
-    """Port intensities for a slot interfering with its predecessor.
-
-    With dphi = current_phase - previous_phase, port 1 receives
-    mean*(1+cos dphi)/2 and port 2 the complement; dphi = 0 routes fully
-    to port 1, dphi = pi fully to port 2.
+    `cos_dphi[k]` is cos(phi_k - phi_{k-1}) and `prev_mean` the mean of the
+    slot before the chunk (0 for the run's first slot, which interferes
+    with vacuum).  dphi = 0 routes an equal-mean pair fully to port 1,
+    dphi = pi fully to port 2.
     """
-    if interfering_mean < 0.0:
-        raise ValueError("interfering_mean must be >= 0")
-    c = math.cos(current_phase - previous_phase)
-    return PortIntensities(
-        port1_mean=interfering_mean * (1.0 + c) / 2.0,
-        port2_mean=interfering_mean * (1.0 - c) / 2.0,
-    )
-
-
-def mzi_interfere_fields(previous: SlotField | None, current: SlotField) -> PortIntensities:
-    """Port intensities from the two-amplitude interference of consecutive slots.
-
-    Amplitude picture: each pulse splits between the short and the delayed
-    arm, so the slot-k output combines sqrt(m_k) e^{i phi_k} with
-    sqrt(m_{k-1}) e^{i phi_{k-1}}, each port taking a T/4 share.  With equal
-    adjacent means this reduces exactly to `mzi_interfere`; the run's first
-    slot interferes with vacuum and splits 50:50 with half its energy in
-    the not-yet-interfering delayed arm.
-    """
-    m_cur = current.mean_photons
-    if previous is None:
-        half = m_cur / 4.0
-        return PortIntensities(port1_mean=half, port2_mean=half)
-    m_prev = previous.mean_photons
-    cross = 2.0 * math.sqrt(m_cur * m_prev) * math.cos(current.phase - previous.phase)
-    base = m_cur + m_prev
-    return PortIntensities(
-        port1_mean=max(0.0, (base + cross) / 4.0),
-        port2_mean=max(0.0, (base - cross) / 4.0),
-    )
-
-
-def coupler_split(
-    port_mean: float, wavelength_nm: float, coupler: CouplerModel
-) -> tuple[float, float]:
-    """Split one port's light between its detector pair; outputs sum exactly."""
-    if port_mean < 0.0:
-        raise ValueError("port_mean must be >= 0")
-    r = coupler.ratio(wavelength_nm)
-    det_a = r * port_mean
-    return det_a, port_mean - det_a
+    amp = np.sqrt(mean)
+    amp_shift = np.empty_like(amp)
+    amp_shift[0] = math.sqrt(prev_mean)
+    amp_shift[1:] = amp[:-1]
+    mean_shift = np.empty_like(mean)
+    mean_shift[0] = prev_mean
+    mean_shift[1:] = mean[:-1]
+    cross = 2.0 * amp * amp_shift * cos_dphi
+    base = mean + mean_shift
+    port1 = (base + cross) * 0.25
+    port2 = (base - cross) * 0.25
+    np.maximum(port1, 0.0, out=port1)
+    np.maximum(port2, 0.0, out=port2)
+    return port1, port2

@@ -1,6 +1,6 @@
 """Differential-phase-shift protocol roles and post-processing.
 
-Alice's record is a per-slot {0, pi} phase sequence; the key bit of slot s
+Alice sends a per-slot {0, pi} phase sequence; the key bit of slot s
 is the phase difference to slot s-1 (0 -> bit 0, pi -> bit 1).  Bob's bit
 is the port that clicked: detectors 1/2 sit on port 1 (bit 0), detectors
 3/4 on port 2 (bit 1).
@@ -35,41 +35,31 @@ class NoDataError(ValueError):
     """An estimator was asked for a quantity with no supporting events."""
 
 
-@dataclass(frozen=True)
-class AliceRecord:
-    """Alice's modulation data: one phase (0 or pi) per slot, plus the
-    mean photon number per pulse."""
-
-    phases: np.ndarray
-    mean_photons_per_pulse: float
-
-    def __len__(self) -> int:
-        return len(self.phases)
-
-    def dphi_bit(self, slot: int) -> int:
-        """Key bit encoded on slot `slot` (difference to its predecessor)."""
-        d = (self.phases[slot] - self.phases[slot - 1]) % (2.0 * math.pi)
-        return int(abs(d - math.pi) < 1e-9)
-
-
-def alice_emit(n_slots: int, mu: float, mode: str, rng: SlotRng) -> AliceRecord:
-    """Emit Alice's phase record.
+class AliceSource:
+    """Alice's phase parities and key bits, by slot index.
 
     `random` draws each phase uniformly from {0, pi} from the seeded
     stream; `static_0pi` alternates 0, pi, 0, pi (the attack-emulation
     pattern, whose per-slot key bit is always 1).
     """
-    if n_slots < 2:
-        raise ValueError("n_slots must be >= 2")
-    if mu < 0.0:
-        raise ValueError("mu must be >= 0")
-    if mode == "random":
-        bits = rng.bit_at(np.arange(n_slots, dtype=np.uint64))
-    elif mode == "static_0pi":
-        bits = (np.arange(n_slots, dtype=np.int64) % 2).astype(np.uint8)
-    else:
-        raise ValueError(f"unknown alice mode {mode!r}")
-    return AliceRecord(phases=bits.astype(np.float64) * math.pi, mean_photons_per_pulse=mu)
+
+    def __init__(self, mode: str, rng: SlotRng):
+        if mode not in ("random", "static_0pi"):
+            raise ValueError(f"unknown alice mode {mode!r}")
+        self.mode = mode
+        self.rng = rng
+
+    def parity_at(self, slots):
+        s = np.asarray(slots, dtype=np.int64)
+        if self.mode == "random":
+            return self.rng.bit_at(s.astype(np.uint64))
+        return (s % 2).astype(np.uint8)
+
+    def key_bits_at(self, slots: np.ndarray) -> np.ndarray:
+        """Key bits of slots >= 1 (phase difference to the predecessor)."""
+        if self.mode == "static_0pi":
+            return np.ones(len(slots), dtype=np.uint8)
+        return self.parity_at(slots) ^ self.parity_at(slots - 1)
 
 
 @dataclass(frozen=True)
@@ -87,9 +77,14 @@ class ClickLog:
         return len(self.slots)
 
     @classmethod
-    def from_events(cls, events) -> "ClickLog":
-        slots = np.asarray([e.slot for e in events], dtype=np.int64)
-        dets = np.asarray([e.detector_id for e in events], dtype=np.int8)
+    def merge(cls, detector_slots) -> "ClickLog":
+        """One log from each detector's click slots (`detector_slots[i]`
+        holds detector i+1's), ordered by slot and then detector id."""
+        slots = np.concatenate(detector_slots).astype(np.int64, copy=False)
+        dets = np.repeat(
+            np.arange(1, len(detector_slots) + 1, dtype=np.int8),
+            [len(d) for d in detector_slots],
+        )
         order = np.lexsort((dets, slots))
         return cls(slots=slots[order], detector_ids=dets[order])
 
@@ -114,7 +109,7 @@ class ClickLog:
 
 @dataclass
 class SiftResult:
-    """Outcome of sifting a click log against Alice's record.
+    """Outcome of sifting a click log against Alice's key bits.
 
     Every kept slot had exactly one clicking detector; `coincidence_counts`
     tallies same-slot double clicks within pair A = (Det1, Det2) and
@@ -136,55 +131,40 @@ class SiftResult:
         return len(self.kept_slots)
 
 
-def _classify_slot_events(result, slot_groups):
-    """Fold per-slot click groups into a SiftResult's counters; return the
-    kept slots and Bob's bits (Alice's bits are the caller's job)."""
-    bob_bits = []
-    kept = []
-    for slot, dets in slot_groups:
-        if slot == 0:
-            result.slot0_clicks += len(dets)
-            continue
-        if len(dets) == 1:
-            d = dets[0]
-            result.singles_counts[d] += 1
-            kept.append(slot)
-            bob_bits.append(0 if d <= 2 else 1)
-            continue
-        port1 = any(d <= 2 for d in dets)
-        port2 = any(d >= 3 for d in dets)
-        if port1 and port2:
-            result.discarded_multiport += 1
-            result.discarded_multiport_clicks += len(dets)
-        elif port1:
-            result.coincidence_counts["A"] += 1
-        else:
-            result.coincidence_counts["B"] += 1
-    return kept, bob_bits
+def sift(log: ClickLog, key_bits_at) -> SiftResult:
+    """Sift a click log into key bits and coincidence statistics.
 
-
-def sift(alice: AliceRecord, log: ClickLog) -> SiftResult:
-    """Sift a click log into key bits and coincidence statistics."""
-    if len(log) and int(log.slots.max()) >= len(alice):
-        raise ValueError("click slot beyond Alice's record")
+    `key_bits_at` maps an array of slots >= 1 to Alice's key bits there.
+    """
     result = SiftResult()
-    groups = []
-    i = 0
-    slots = log.slots
-    dets = log.detector_ids
-    n = len(log)
-    while i < n:
-        j = i
-        while j < n and slots[j] == slots[i]:
-            j += 1
-        groups.append((int(slots[i]), [int(d) for d in dets[i:j]]))
-        i = j
-    kept, b_bits = _classify_slot_events(result, groups)
-    result.kept_slots = np.asarray(kept, dtype=np.int64)
-    result.alice_bits = np.asarray(
-        [alice.dphi_bit(s) for s in kept], dtype=np.uint8
-    )
-    result.bob_bits = np.asarray(b_bits, dtype=np.uint8)
+    if len(log) == 0:
+        return result
+    slots, dets = log.slots, log.detector_ids
+    # One group per distinct slot: its first click, click count and how
+    # many of its clicks are at port 2.
+    first = np.flatnonzero(np.concatenate(([True], slots[1:] != slots[:-1])))
+    size = np.diff(np.append(first, len(slots)))
+    at_port2 = np.add.reduceat((dets >= 3).astype(np.int64), first)
+    slot = slots[first]
+
+    slot0 = slot == 0
+    single = (size == 1) & ~slot0
+    multi = (size > 1) & ~slot0
+    multiport = multi & (at_port2 > 0) & (at_port2 < size)
+    result.slot0_clicks = int(size[slot0].sum())
+    result.discarded_multiport = int(np.count_nonzero(multiport))
+    result.discarded_multiport_clicks = int(size[multiport].sum())
+    result.coincidence_counts = {
+        "A": int(np.count_nonzero(multi & (at_port2 == 0))),
+        "B": int(np.count_nonzero(multi & (at_port2 == size))),
+    }
+
+    single_dets = dets[first[single]]
+    counts = np.bincount(single_dets, minlength=5)
+    result.singles_counts = {d: int(counts[d]) for d in (1, 2, 3, 4)}
+    result.kept_slots = slot[single]
+    result.bob_bits = (single_dets >= 3).astype(np.uint8)
+    result.alice_bits = key_bits_at(result.kept_slots)
     return result
 
 

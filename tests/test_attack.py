@@ -1,125 +1,128 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from qkdsim.attack import (
-    AttackConfig,
-    AttackPlan,
-    PORT1,
-    PORT2,
-    assemble_attack_program,
-    build_blinding_segment,
-    build_recovery_window,
-    eve_measure,
-)
-from qkdsim.detector import photons_to_dBm
-from qkdsim.optics import mzi_interfere
-from qkdsim.protocol import alice_emit
+from qkdsim.attack import AttackConfig, AttackPlan, PORT1, PORT2, eve_outcome
+from qkdsim.detector import DetectorParams, photons_to_dBm
+from qkdsim.optics import CouplerModel, mzi_ports
+from qkdsim.protocol import AliceSource
 from qkdsim.rng import SlotRng
 
+SIGNAL = 0.2 * 10.0**-1.8
 
-def ports_of_program(program, previous_phase=None):
-    """Trace a program through the interferometer, slot by slot."""
-    port1, port2 = [], []
-    prev = previous_phase
-    for k in range(len(program)):
-        if prev is None:
-            port1.append(program.mean_photons[k] / 4.0)
-            port2.append(program.mean_photons[k] / 4.0)
-        else:
-            p = mzi_interfere(program.phase[k], prev, program.mean_photons[k])
-            port1.append(p.port1_mean)
-            port2.append(p.port2_mean)
-        prev = program.phase[k]
-    return np.asarray(port1), np.asarray(port2)
+
+def make_plan(cfg, n, alice=None, cycle_rng=None, eve_outcome_at=None):
+    alice = alice or AliceSource("static_0pi", SlotRng(1))
+    return AttackPlan(
+        cfg, n, SIGNAL, 1551.0, alice.parity_at, cycle_rng or SlotRng(0), eve_outcome_at
+    )
+
+
+def plan_ports(plan, mean_prev=0.0):
+    """Trace a plan's fields for the whole run through the interferometer,
+    as the engine does (no phase flips; the slot before the run has parity
+    0 and mean `mean_prev`)."""
+    mean, parity, _ = plan.channel_fields(0, plan.n_slots)
+    dparity = parity ^ np.concatenate(([0], parity[:-1])).astype(np.uint8)
+    return mzi_ports(mean, 1.0 - 2.0 * dparity, mean_prev)
 
 
 class TestEveMeasure:
     def test_saturated_source_clicks_every_slot(self):
-        rec = alice_emit(1000, 100.0, "random", SlotRng(1))
-        m = eve_measure(rec, SlotRng(2))
-        assert np.all(m.outcomes[1:] != 0)
+        alice = AliceSource("random", SlotRng(1))
+        out = eve_outcome(np.arange(1000), 100.0, SlotRng(2), alice.parity_at)
+        assert np.all(out[1:] != 0)
 
     def test_outcomes_follow_phase_difference(self):
-        rec = alice_emit(8, 100.0, "static_0pi", SlotRng(1))
-        m = eve_measure(rec, SlotRng(2))
-        assert np.all(m.outcomes[1:] == PORT2)  # static pattern: always pi
-        rec0 = alice_emit(8, 100.0, "random", SlotRng(3))
-        rec0.phases[:] = 0.0  # all differences zero
-        m0 = eve_measure(rec0, SlotRng(2))
-        assert np.all(m0.outcomes[1:] == PORT1)
+        static = AliceSource("static_0pi", SlotRng(1))
+        out = eve_outcome(np.arange(8), 100.0, SlotRng(2), static.parity_at)
+        assert np.all(out[1:] == PORT2)  # static pattern: always pi
+        flat = eve_outcome(np.arange(8), 100.0, SlotRng(2), np.zeros_like)
+        assert np.all(flat[1:] == PORT1)  # all differences zero
 
     def test_click_rate_is_poissonian(self):
         n = 1_000_000
-        rec = alice_emit(n, 0.2, "random", SlotRng(5))
-        m = eve_measure(rec, SlotRng(6))
+        alice = AliceSource("random", SlotRng(5))
+        out = eve_outcome(np.arange(n), 0.2, SlotRng(6), alice.parity_at)
         expect = (n - 1) * (1.0 - math.exp(-0.2))
         sigma = math.sqrt(expect)
-        assert abs(np.count_nonzero(m.outcomes) - expect) < 4.0 * sigma
+        assert abs(np.count_nonzero(out) - expect) < 4.0 * sigma
 
     def test_slot0_never_measured(self):
-        rec = alice_emit(10, 100.0, "random", SlotRng(1))
-        assert eve_measure(rec, SlotRng(2)).outcomes[0] == 0
+        alice = AliceSource("random", SlotRng(1))
+        assert eve_outcome(np.arange(10), 100.0, SlotRng(2), alice.parity_at)[0] == 0
 
 
 class TestBlindingSegment:
     def test_textbook_pattern(self):
-        seg = build_blinding_segment(8, AttackConfig())
-        assert list(seg.phase) == [0.0, 0.0, math.pi, math.pi, 0.0, 0.0, math.pi, math.pi]
+        # Entered after parity 0, the first slot flips, then {pi,pi,0,0} repeats.
+        _, parity, _ = make_plan(AttackConfig(enabled=True), 100).channel_fields(0, 8)
+        assert list(parity) == [1, 1, 0, 0, 1, 1, 0, 0]
 
     def test_alternates_ports_downstream(self):
-        cfg = AttackConfig()
-        seg = build_blinding_segment(64, cfg, previous_phase=math.pi)
-        p1, p2 = ports_of_program(seg, previous_phase=math.pi)
+        cfg = AttackConfig(enabled=True)
+        P = cfg.blind_photons_per_slot
+        p1, p2 = plan_ports(make_plan(cfg, 64), mean_prev=P)
         for k in range(64):
-            lit = p1[k] > p2[k]
-            assert (p1[k], p2[k]) in {(cfg.blind_photons_per_slot, 0.0), (0.0, cfg.blind_photons_per_slot)} or (
-                abs(p1[k] - cfg.blind_photons_per_slot * (1 if lit else 0)) < 1e-6
-            )
-            assert lit == (k % 2 == 1)  # first slot flips to port 2
+            assert (p1[k], p2[k]) in {(P, 0.0), (0.0, P)}
+            assert (p1[k] > p2[k]) == (k % 2 == 1)  # first slot flips to port 2
 
     def test_each_detector_sees_threshold_after_coupler(self):
-        cfg = AttackConfig()  # 5e4 at the interferometer input
-        seg = build_blinding_segment(16, cfg, previous_phase=math.pi)
-        p1, p2 = ports_of_program(seg, previous_phase=math.pi)
+        cfg = AttackConfig(enabled=True)  # 5e4 at the interferometer input
+        p1, p2 = plan_ports(make_plan(cfg, 16))
         lit = np.maximum(p1, p2)
         assert np.all(lit[1:] == 5e4)
-        assert np.all(lit[1:] * 0.5 >= 2.5e4)  # per detector, at the threshold
+        det_a, det_b = CouplerModel().split(lit[1:], cfg.blind_wavelength_nm)
+        threshold = DetectorParams().blind_threshold_photons
+        assert np.all(det_a >= threshold) and np.all(det_b >= threshold)
 
     def test_minimum_length(self):
         with pytest.raises(ValueError):
-            build_blinding_segment(3, AttackConfig())
+            AttackConfig(blinding_slots=3)
 
 
 class TestRecoveryWindow:
+    def _window(self, cfg):
+        C = cfg.cycle_slots
+        return slice(C - 1 - cfg.recovery_window_slots, C - 1)
+
     def test_port2_window_is_constant_phase_and_dark(self):
-        cfg = AttackConfig()
-        win = build_recovery_window(PORT2, 10, cfg, previous_phase=0.0)
-        assert np.all(win.phase == 0.0)
-        _, p2 = ports_of_program(win, previous_phase=0.0)
-        assert np.all(p2 == 0.0)
+        cfg = AttackConfig(enabled=True, mode="emulation")
+        plan = make_plan(cfg, cfg.cycle_slots)
+        _, parity, _ = plan.channel_fields(0, cfg.cycle_slots)
+        window = self._window(cfg)
+        assert len(set(parity[window])) == 1
+        p1, p2 = plan_ports(plan)
+        assert np.all(p2[window] == 0.0)
+        assert p2[-1] == cfg.blind_photons_per_slot  # re-blinding edge
 
     def test_port1_window_alternates_and_darkens_port1(self):
-        cfg = AttackConfig()
-        win = build_recovery_window(PORT1, 10, cfg, previous_phase=0.0)
-        p1, _ = ports_of_program(win, previous_phase=0.0)
-        assert np.all(p1 == 0.0)
+        cfg = AttackConfig(enabled=True, mode="intercept_resend")
+        plan = make_plan(
+            cfg, cfg.cycle_slots, eve_outcome_at=lambda s: np.full(len(s), PORT1)
+        )
+        _, parity, _ = plan.channel_fields(0, cfg.cycle_slots)
+        window = self._window(cfg)
+        assert np.all(np.diff(parity[window].astype(int)) != 0)
+        p1, _ = plan_ports(plan)
+        assert np.all(p1[window] == 0.0)
+        assert p1[-1] == cfg.blind_photons_per_slot  # re-blinding edge
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            build_recovery_window(PORT2, 0, AttackConfig())
+            AttackConfig(recovery_window_slots=0)
 
 
 class TestAssembleProgram:
     def test_emulation_cycle_structure(self):
         cfg = AttackConfig(enabled=True, mode="emulation")
         n = 2 * cfg.cycle_slots
-        alice = alice_emit(n, 0.2, "static_0pi", SlotRng(1))
-        prog = assemble_attack_program(None, cfg, n, alice)
-        assert len(prog) == n
-        assert np.all(prog.mean_photons == cfg.blind_photons_per_slot)
-        p1, p2 = ports_of_program(prog)
+        plan = make_plan(cfg, n)
+        mean, _, _ = plan.channel_fields(0, n)
+        assert np.all(mean == cfg.blind_photons_per_slot)
+        p1, p2 = plan_ports(plan)
         C = cfg.cycle_slots
         for k in (0, 1):
             window = slice(k * C + C - 1 - cfg.recovery_window_slots, k * C + C - 1)
@@ -129,29 +132,26 @@ class TestAssembleProgram:
     def test_pass_through_cycles_carry_attenuated_signal(self):
         cfg = AttackConfig(enabled=True, mode="emulation", attacked_fraction=0.5)
         n = 20 * cfg.cycle_slots
-        alice = alice_emit(n, 0.2, "static_0pi", SlotRng(1))
-        prog = assemble_attack_program(None, cfg, n, alice, channel_loss_dB=18.0,
-                                       cycle_rng=SlotRng(77))
-        signal = 0.2 * 10.0**-1.8
-        means = prog.mean_photons
-        assert set(np.unique(means)) == {signal, cfg.blind_photons_per_slot}
+        alice = AliceSource("static_0pi", SlotRng(1))
+        mean, parity, _ = make_plan(cfg, n, alice, SlotRng(77)).channel_fields(0, n)
+        assert set(np.unique(mean)) == {SIGNAL, cfg.blind_photons_per_slot}
         # pass-through slots carry Alice's phases
-        passthrough = means == signal
-        assert np.array_equal(prog.phase[passthrough], alice.phases[passthrough])
+        passthrough = mean == SIGNAL
+        alice_parity = alice.parity_at(np.arange(n))
+        assert np.array_equal(parity[passthrough], alice_parity[passthrough])
 
     def test_zero_fraction_is_pure_passthrough(self):
         cfg = AttackConfig(enabled=True, mode="emulation", attacked_fraction=0.0)
         n = 3 * cfg.cycle_slots
-        alice = alice_emit(n, 0.2, "random", SlotRng(4))
-        prog = assemble_attack_program(None, cfg, n, alice, channel_loss_dB=18.0)
-        assert np.all(prog.mean_photons == 0.2 * 10.0**-1.8)
-        assert np.array_equal(prog.phase, alice.phases)
+        alice = AliceSource("random", SlotRng(4))
+        mean, parity, lam = make_plan(cfg, n, alice).channel_fields(0, n)
+        assert np.all(mean == SIGNAL) and np.all(lam == 1551.0)
+        assert np.array_equal(parity, alice.parity_at(np.arange(n)))
 
     def test_intercept_needs_measurements(self):
         cfg = AttackConfig(enabled=True, mode="intercept_resend")
-        alice = alice_emit(100, 0.2, "random", SlotRng(1))
         with pytest.raises(ValueError):
-            assemble_attack_program(None, cfg, 100, alice)
+            make_plan(cfg, 100)
 
     def test_intercept_targets_follow_eve(self):
         cfg = AttackConfig(
@@ -159,29 +159,16 @@ class TestAssembleProgram:
             recovery_window_slots=10,
         )
         n = 10 * cfg.cycle_slots
-        alice = alice_emit(n, 50.0, "random", SlotRng(9))  # bright: Eve always clicks
-        meas = eve_measure(alice, SlotRng(10))
-        prog = assemble_attack_program(meas, cfg, n, alice)
-        plan = AttackPlan(
-            cfg, n, 0.2 * 10**-1.8, 1551.0,
-            lambda s: (np.rint(alice.phases[np.asarray(s, dtype=np.int64)] / math.pi).astype(np.int64) & 1).astype(np.uint8),
-            SlotRng(0), eve_outcome_at=meas.outcome_at,
+        alice = AliceSource("random", SlotRng(9))
+        # bright: Eve always clicks
+        eve = functools.partial(
+            eve_outcome, mu=50.0, rng=SlotRng(10), alice_parity_at=alice.parity_at
         )
+        plan = make_plan(cfg, n, alice, eve_outcome_at=eve)
         C = cfg.cycle_slots
-        for k in range(plan.n_cycles):
-            assert plan.targets[k] == meas.outcomes[(k + 1) * C - 1]
-        assert len(prog) == n
-
-    def test_program_csv_dump(self, tmp_path):
-        cfg = AttackConfig(enabled=True)
-        alice = alice_emit(20, 0.2, "static_0pi", SlotRng(1))
-        seg = build_blinding_segment(8, cfg)
-        path = tmp_path / "program.csv"
-        seg.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "slot,mean_photons,phase,wavelength_nm"
-        assert len(lines) == 9
-        assert lines[1].startswith("0,50000.0,0.0,")
+        edges = (np.arange(plan.n_cycles) + 1) * C - 1
+        assert np.array_equal(plan.targets, eve(edges))
+        assert np.all(plan.targets != 0)
 
 
 def test_duty_weighted_port_power_matches_reported_average():
@@ -198,10 +185,10 @@ def test_plan_truncated_final_cycle_blinds_throughout():
     cfg = AttackConfig(enabled=True, mode="emulation")
     C = cfg.cycle_slots
     n = C + C // 2  # second cycle truncated
-    alice = alice_emit(n, 0.2, "static_0pi", SlotRng(1))
-    prog = assemble_attack_program(None, cfg, n, alice)
-    assert len(prog) == n
-    p1, p2 = ports_of_program(prog)
+    plan = make_plan(cfg, n)
+    assert list(plan.targets) == [PORT2, 0]
+    p1, p2 = plan_ports(plan)
+    assert len(p1) == n
     # truncated cycle has no recovery window: both ports keep alternating
     tail1 = p1[C + 1:]
     tail2 = p2[C + 1:]

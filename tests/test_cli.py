@@ -77,6 +77,18 @@ class TestRunCommand:
         assert code == 1
         assert "coupler.bend_radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override", ["mu=NaN", "channel_loss_dB=Infinity", "clock_hz=-Infinity"]
+    )
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, override):
+        code = run_cli(
+            "run", "--preset", "normal", "--slots", "10000",
+            "--set", override, "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert f"error: {override.split('=')[0]}: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_set_overrides_and_vacuum(self, tmp_path):
         code = run_cli(
             "run", "--out", str(tmp_path), "--slots", "10000",

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import os
 
 import numpy as np
@@ -9,15 +8,16 @@ from qkdsim.attack import AttackConfig
 from qkdsim.engine import (
     ConfigError,
     ScenarioConfig,
-    compute_metrics,
     config_with,
     default_detector,
     run_scenario,
     run_sweep,
 )
 from qkdsim.optics import BandpassFilter, CouplerModel
-from qkdsim.protocol import AliceRecord, detector_statistics_check, sift
+from qkdsim.protocol import AliceSource, detector_statistics_check, sift
 from qkdsim.rng import RunStreams
+
+from oracles import brute_qber, brute_sift
 
 
 def small_cfg(**kw):
@@ -115,8 +115,7 @@ class TestHonestOperation:
         total = len(log)
         assert singles + 2 * coinc <= total
         # exact identity via a fresh sift of the same log
-        alice = _alice_record_for(cfg)
-        res = sift(alice, log)
+        res = sift(log, _alice_for(cfg).key_bits_at)
         assert (
             sum(res.singles_counts.values())
             + 2 * sum(res.coincidence_counts.values())
@@ -133,36 +132,37 @@ class TestHonestOperation:
             assert np.all(np.diff(slots) > 0)
 
 
-def _alice_record_for(cfg: ScenarioConfig) -> AliceRecord:
-    """Rebuild Alice's full record the way the engine streams it."""
-    streams = RunStreams(cfg.seed)
-    if cfg.alice_mode == "random":
-        bits = streams.alice.bit_at(np.arange(cfg.n_slots, dtype=np.uint64))
-    else:
-        bits = (np.arange(cfg.n_slots) % 2).astype(np.uint8)
-    return AliceRecord(
-        phases=bits.astype(np.float64) * math.pi, mean_photons_per_pulse=cfg.mu
-    )
+def _alice_for(cfg: ScenarioConfig) -> AliceSource:
+    """Alice's source as the engine builds it for `cfg`."""
+    return AliceSource(cfg.alice_mode, RunStreams(cfg.seed).alice)
 
 
-class TestEngineMatchesProtocolSift:
-    def test_streamed_sift_equals_record_sift(self):
-        cfg = small_cfg(n_slots=2_000_000)
+class TestEngineMatchesBruteSift:
+    """run_scenario's metrics against the reference sift of its own log."""
+
+    def _check(self, cfg):
         log, m = run_scenario(cfg)
-        res = sift(_alice_record_for(cfg), log)
-        assert tuple(res.singles_counts[d] for d in (1, 2, 3, 4)) == m.singles
-        assert (res.coincidence_counts["A"], res.coincidence_counts["B"]) == m.coincidences
-        assert len(res) == m.K_sift
-        # identical metrics all the way through
-        rebuilt = compute_metrics(cfg, res, log)
-        assert rebuilt.to_json() == m.to_json()
+        parity = _alice_for(cfg).parity_at(np.arange(cfg.n_slots))
+        ref = brute_sift(parity, zip(log.slots.tolist(), log.detector_ids.tolist()))
+        assert m.singles == tuple(ref["singles"][d] for d in (1, 2, 3, 4))
+        assert m.coincidences == (ref["coinc"]["A"], ref["coinc"]["B"])
+        assert m.K_sift == len(ref["kept"]) > 0
+        assert m.qber == brute_qber(ref)
+        return ref
 
-    def test_under_attack_too(self):
-        cfg = attack_cfg(n_slots=100_000)
-        log, m = run_scenario(cfg)
-        res = sift(_alice_record_for(cfg), log)
-        rebuilt = compute_metrics(cfg, res, log)
-        assert rebuilt.to_json() == m.to_json()
+    def test_dense_run_matches_brute_sift(self):
+        # 0 dB and efficiency 0.5 give a click every few dozen slots; the
+        # raised dark rate adds multi-port slots.
+        det = dataclasses.replace(
+            default_detector(), efficiency=0.5, dark_prob_per_slot=0.01
+        )
+        ref = self._check(small_cfg(channel_loss_dB=0.0, detectors=(det,) * 4))
+        assert ref["coinc"]["A"] > 0 and ref["coinc"]["B"] > 0
+        assert ref["multiport_slots"] > 0
+
+    def test_attacked_run_matches_brute_sift(self):
+        ref = self._check(attack_cfg(q=0.5, n_slots=300_000))
+        assert ref["coinc"]["B"] > 0
 
 
 class TestAttackScenarios:
@@ -277,8 +277,9 @@ class TestWavelengthAttackAndDefenses:
     def test_detuned_blinding_unbalances_the_pair(self):
         # At 1561 nm the coupler sends 90% of a port's light to one
         # detector: its partner stays below threshold and fires away.
-        log, m = run_scenario(self._detuned_cfg(filter_on=False))
-        res = sift(_alice_record_for(self._detuned_cfg(filter_on=False)), log)
+        cfg = self._detuned_cfg(filter_on=False)
+        log, m = run_scenario(cfg)
+        res = sift(log, _alice_for(cfg).key_bits_at)
         checks = detector_statistics_check(res, 5.0)
         assert checks["A"].flagged or checks["B"].flagged
 
