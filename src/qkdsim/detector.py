@@ -16,9 +16,14 @@ moves to Blinded silently; any bright slot also cancels a pending dead
 time for the same reason.
 
 `simulate_block` is the detector stage the engine runs, over a chunk of
-slots at a time.  `Detector.step` is the slot-by-slot reference it is
-tested against: both read the same counter-based variate for a slot, so
-they produce identical click sequences.
+slots at a time.  It works from the indices of the chunk's bright slots:
+the live dim slots lie at least `recovery_slots` after a bright one, in
+intervals given in closed form, and only those draw a variate and
+evaluate the escape probability.  A bright slot is a rising-edge
+candidate when more than `recovery_slots` slots separate it from the
+previous bright one.  `Detector.step` is the slot-by-slot reference it
+is tested against: both read the same counter-based variate for a slot,
+so they produce identical click sequences.
 """
 
 from __future__ import annotations
@@ -148,81 +153,71 @@ def simulate_block(
     params: DetectorParams,
     state: BlockState,
     rng: SlotRng,
-    slots: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run one detector over a contiguous slot block; return click slots.
 
     Equivalent to calling `Detector.step` for slots
     [base_slot, base_slot + len(incident)), but candidate clicks are found
-    with array operations and only the (sparse) candidates are resolved
-    sequentially for dead-time interactions.  `slots` may pass in the
-    precomputed int64 slot numbers to share the buffer across detectors.
+    with array operations from the bright-slot indices, and only the
+    (sparse) candidates are resolved sequentially for dead-time
+    interactions.  Latched slots draw no variate.
     """
     n = len(incident)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if slots is None:
-        slots = base_slot + np.arange(n, dtype=np.int64)
-    bright = incident >= params.blind_threshold_photons
-
-    any_bright = bool(bright.any())
-    if any_bright:
-        # Latest bright slot at-or-before each slot (carried across blocks).
-        marks = np.where(bright, slots, _NEVER)
-        np.maximum.accumulate(marks, out=marks)
-        lb_incl = np.maximum(marks, state.last_bright)
-        lb_before = np.empty_like(lb_incl)
-        lb_before[0] = state.last_bright
-        lb_before[1:] = lb_incl[:-1]
-    else:
-        lb_incl = lb_before = None
+    bright = np.flatnonzero(incident >= params.blind_threshold_photons)
+    # Block-relative: interval j runs from the bright slot prev[j] (the
+    # carried one for j = 0) to the next bright slot, ends[j] (the block's
+    # end for the last interval).
+    prev = np.empty(len(bright) + 1, dtype=np.int64)
+    prev[0] = state.last_bright - base_slot
+    prev[1:] = bright
+    ends = np.append(bright, n)
 
     # Recovery gate: a dim slot is past blinding once `recovery_slots` dim
-    # slots have elapsed since the last bright one (counting itself).  A
-    # bright slot clicks only if the detector had already recovered when
-    # processing the preceding dim slot, hence the +1.
-    if any_bright:
-        unblinded_dim = slots - lb_incl >= params.recovery_slots
-        unblinded_bright = slots - lb_before >= params.recovery_slots + 1
-        cand_bright = bright & unblinded_bright
-    else:
-        unblinded_dim = slots >= state.last_bright + params.recovery_slots
-        cand_bright = None
-
+    # slots have elapsed since the last bright one (counting itself), so
+    # interval j is live from prev[j] + R.  A bright slot is a rising-edge
+    # candidate only if the detector had already recovered at some dim slot
+    # before it, i.e. its own interval held a live slot: a gap of more than R.
+    starts = np.maximum(prev + params.recovery_slots, 0)
+    lengths = np.maximum(ends - starts, 0)
+    offsets = np.cumsum(lengths) - lengths
+    live = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
     escape = 1.0 - (1.0 - params.dark_prob_per_slot) * np.exp(
-        -incident * params.efficiency
+        -incident[live] * params.efficiency
     )
-    u = rng.uniform_at(slots)
-    cand_dim = ~bright & unblinded_dim & (u < escape)
+    dim = live[rng.uniform_at(live + base_slot) < escape]
+    edge = bright - prev[:-1] > params.recovery_slots
 
-    cand_mask = (cand_dim | cand_bright) if any_bright else cand_dim
-    cand_idx = np.nonzero(cand_mask)[0]
+    # Candidates in slot order, each with the last bright slot before it.
+    cand = np.concatenate((dim, bright[edge]))
+    order = np.argsort(cand, kind="stable")
+    lbs = np.concatenate((prev[np.searchsorted(bright, dim)], prev[:-1][edge]))
 
     clicks = []
     dead_until = state.dead_until
     last_dim_click = state.last_dim_click
-    for i in cand_idx:
-        s = int(slots[i])
-        lb = int(lb_before[i] if bright[i] else lb_incl[i]) if any_bright else state.last_bright
+    for s, lb, at_bright in zip(
+        (cand[order] + base_slot).tolist(),
+        (lbs[order] + base_slot).tolist(),
+        (order >= len(dim)).tolist(),
+    ):
         # Dead time applies unless a bright slot after the click latched the
         # output high (which supersedes it).  A dim slot at the expiry slot
         # performs the Dead->Ready transition itself and may click; a bright
         # slot clicks only if some dim slot after both the click and the
         # expiry already ran, hence the extra slot.
-        if bright[i]:
+        if at_bright:
             blocked = s <= max(dead_until, last_dim_click + 1) and lb < last_dim_click
         else:
             blocked = s < dead_until and lb < last_dim_click
         if blocked:
             continue
         clicks.append(s)
-        if not bright[i]:
+        if not at_bright:
             last_dim_click = s
             dead_until = s + params.dead_time_slots
 
     # Carry state out of the block.
-    if any_bright:
-        state.last_bright = int(lb_incl[-1])
+    state.last_bright = int(prev[-1]) + base_slot
     state.dead_until = dead_until
     state.last_dim_click = last_dim_click
     return np.asarray(clicks, dtype=np.int64)

@@ -92,10 +92,9 @@ class ClickLog:
         return tuple(int(np.count_nonzero(self.detector_ids == d)) for d in (1, 2, 3, 4))
 
     def write_csv(self, path) -> None:
+        pairs = np.column_stack((self.slots, self.detector_ids)).ravel().tolist()
         with open(path, "w", encoding="utf-8") as f:
-            f.write("slot,detector_id\n")
-            for s, d in zip(self.slots, self.detector_ids):
-                f.write(f"{int(s)},{int(d)}\n")
+            f.write("slot,detector_id\n" + ("%d,%d\n" * len(self)) % tuple(pairs))
 
     @classmethod
     def read_csv(cls, path) -> "ClickLog":

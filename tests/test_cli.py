@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,25 @@ from qkdsim.engine import ScenarioConfig
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# SHA-256 of (metrics.json, clicks.csv) for each preset at seed 7 and 2e6
+# slots.  They pin the random-number contract: a change that alters them
+# changes the output of every seed, and must say so.
+GOLDEN_DIGESTS = {
+    "normal": (
+        "34fab1a336f460619896872a17408b9aac11dc6f32e0af7b34b63d5b79e2f8c3",
+        "8e1b70141c08a94087313ee99be641dfb0c1efc9a310f1aa2c35cff2a20d0dc3",
+    ),
+    "full-attack": (
+        "35473df957f2679306f83388e668be056f88313f13246acbe0947d4767e5ef54",
+        "0a5a3dcf55a18928c5acc1c9e67d43ef326941024d434f95d2e9cfe9bcbe77bc",
+    ),
+    "partial-attack": (
+        "d90fa7d8e3e8300f28734e47e29c06ec8f95c6ee225d0bb6377d7db861ff2082",
+        "00f766a76827c64a87e04135cb59d48907315f88c0c628c1ab1dab936bb05364",
+    ),
+}
 
 
 class TestConfigSchema:
@@ -78,7 +98,17 @@ class TestRunCommand:
         assert "coupler.bend_radius" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "override", ["mu=NaN", "channel_loss_dB=Infinity", "clock_hz=-Infinity"]
+        "override",
+        [
+            "mu=NaN",
+            "channel_loss_dB=Infinity",
+            "clock_hz=-Infinity",
+            "attack.blind_photons_per_slot=NaN",
+            "coupler.ratio_slope_per_nm=NaN",
+            "filter.width_nm=NaN",
+            "filter.out_of_band_suppression_dB=Infinity",
+            "detectors.*.blind_threshold_photons=NaN",
+        ],
     )
     def test_non_finite_value_exits_1(self, tmp_path, capsys, override):
         code = run_cli(
@@ -86,7 +116,8 @@ class TestRunCommand:
             "--set", override, "--out", str(tmp_path),
         )
         assert code == 1
-        assert f"error: {override.split('=')[0]}: must be finite" in capsys.readouterr().err
+        path = override.split("=")[0].replace("*", "0")
+        assert capsys.readouterr().err == f"error: {path}: must be finite\n"
         assert not (tmp_path / "metrics.json").exists()
 
     def test_set_overrides_and_vacuum(self, tmp_path):
@@ -109,6 +140,18 @@ class TestRunCommand:
                 "--out", str(out), "--seed", "7",
             ) == 0
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("preset", sorted(GOLDEN_DIGESTS))
+    def test_golden_output_digests(self, tmp_path, preset):
+        assert run_cli(
+            "run", "--preset", preset, "--slots", "2000000", "--seed", "7",
+            "--out", str(tmp_path), "--emit-clicks",
+        ) in (0, 2)
+        digests = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("metrics.json", "clicks.csv")
+        )
+        assert digests == GOLDEN_DIGESTS[preset]
 
     def test_config_file_plus_preset(self, tmp_path):
         scen = tmp_path / "scenario.json"

@@ -206,6 +206,57 @@ def test_block_simulation_chunking_invariant(seq, seed, split):
     assert list(whole) == parts
 
 
+@st.composite
+def _bright_runs(draw):
+    """Bright runs separated by dim gaps, most of R - 1, R or R + 1 slots:
+    a gap of R dim slots is the shortest after which a bright slot is a
+    rising edge."""
+    recovery = draw(st.integers(min_value=1, max_value=6))
+    dim = st.sampled_from([0.0, 0.5, 5.0, 120.0])
+    seq = draw(st.lists(dim, max_size=12))
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        seq += [draw(st.sampled_from([2.5e4, 6e4]))] * draw(st.integers(1, 4))
+        gap = draw(st.sampled_from([recovery, recovery + 1, recovery - 1, 20]))
+        seq += draw(st.lists(dim, min_size=gap, max_size=gap))
+    return recovery, seq
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    _bright_runs(),
+    st.integers(min_value=0, max_value=2**40),
+    st.lists(st.integers(min_value=0, max_value=400), min_size=3, max_size=5),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([0, 0, 1, 7]),
+)
+def test_block_state_carries_across_cuts_at_any_base(runs, base, cuts, seed, dead):
+    recovery, seq = runs
+    par = params(
+        efficiency=0.3,
+        dark_prob_per_slot=0.01,
+        dead_time_slots=dead,
+        blind_threshold_photons=2.4e4,
+        recovery_slots=recovery,
+    )
+    incident = np.asarray(seq)
+    det = Detector(1, par, SlotRng(seed))
+    state = BlockState()
+    ref, got = [], []
+    last_dim_click = BlockState().last_dim_click
+    bounds = sorted({min(c, len(seq)) for c in cuts} | {0, len(seq)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        for i in range(lo, hi):
+            if det.step(float(incident[i]), base + i) is not None:
+                ref.append(base + i)
+                if incident[i] < par.blind_threshold_photons:
+                    last_dim_click = base + i
+        got += simulate_block(incident[lo:hi], base + lo, par, state, SlotRng(seed)).tolist()
+        assert got == ref
+        assert state.last_bright == det.state.last_bright_slot
+        assert state.dead_until == det.state.until_slot
+        assert state.last_dim_click == last_dim_click
+
+
 class TestCountRateSweep:
     def test_dark_and_light_off_gives_zero(self):
         res = count_rate_sweep(params(), [0.0], 10_000, SlotRng(1))

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from qkdsim import engine
 from qkdsim.attack import AttackConfig
+from qkdsim.cli import PRESETS, config_from_dict
 from qkdsim.engine import (
     ConfigError,
     ScenarioConfig,
@@ -61,6 +63,47 @@ class TestReproducibility:
         finally:
             del os.environ["QKDSIM_THREADS"]
         assert [m.to_json() for m in serial] == [m.to_json() for m in threaded]
+
+
+def _preset(name, **overrides):
+    """A preset at 1.34e6 slots (seed 7): at a 997-slot chunk, boundaries
+    fall inside the attack's bright runs and, near slots 1.0e6 and 1.33e6,
+    inside its recovery windows (cycle positions 9991 and 9998)."""
+    data = dict(PRESETS[name], n_slots=1_340_000, seed=7)
+    for key, value in overrides.items():
+        data[key] = {**data.get(key, {}), **value} if isinstance(value, dict) else value
+    return config_from_dict(data)
+
+
+CHUNKING_CASES = {
+    "normal": lambda: _preset("normal"),
+    "dense": lambda: _preset(
+        "normal", channel_loss_dB=0.0, detectors=[{"efficiency": 0.5}] * 4
+    ),
+    "full-attack": lambda: _preset("full-attack"),
+    "partial-attack": lambda: _preset("partial-attack"),
+    "intercept-resend": lambda: _preset(
+        "full-attack", alice_mode="random", mu=2.0, attack={"mode": "intercept_resend"}
+    ),
+    "detuned-coupler": lambda: _preset(
+        "full-attack",
+        coupler={"ratio_slope_per_nm": 0.04},
+        attack={"blind_wavelength_nm": 1561.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKING_CASES))
+def test_chunk_size_does_not_change_the_run(case, monkeypatch):
+    cfg = CHUNKING_CASES[case]()
+    log_ref, m_ref = run_scenario(cfg)
+    assert len(log_ref) > 0
+    for chunk in (997, 1 << 20):
+        monkeypatch.setattr(engine, "CHUNK_SLOTS", chunk)
+        log, m = run_scenario(cfg)
+        assert np.array_equal(log.slots, log_ref.slots)
+        assert np.array_equal(log.detector_ids, log_ref.detector_ids)
+        assert m == m_ref
 
 
 class TestHonestOperation:
@@ -306,6 +349,11 @@ class TestSweeps:
         res = run_sweep(base, "channel_loss_dB", [30.0, 10.0, 20.0])
         ests = [m.ccr_est for m in res]
         assert ests[0] < ests[2] < ests[1]
+
+    def test_bad_thread_cap_is_a_config_error(self, monkeypatch):
+        monkeypatch.setenv("QKDSIM_THREADS", "abc")
+        with pytest.raises(ConfigError, match="QKDSIM_THREADS"):
+            run_sweep(small_cfg(n_slots=10_000), "mu", [0.1, 0.2])
 
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
