@@ -77,13 +77,6 @@ def eve_outcome(slots, mu: float, rng: SlotRng, alice_parity_at) -> np.ndarray:
     return np.where(clicked, np.where(same, PORT1, PORT2), 0).astype(np.int8)
 
 
-def _blinding_parity(j, entry_parity):
-    """Parity of blinding-slot offset j, entered with `entry_parity` on the
-    preceding slot: the first slot flips (difference pi), then differences
-    alternate 0, pi -- the {0,0,pi,pi} repetition."""
-    return (entry_parity ^ ((j // 2 + 1) & 1)).astype(np.uint8)
-
-
 class AttackPlan:
     """Per-cycle schedule plus closed-form slot fields for the whole run.
 
@@ -150,53 +143,51 @@ class AttackPlan:
                 parity ^= (cfg.recovery_window_slots & 1) ^ 1
             # target PORT2: the edge slot's parity equals the entry parity
 
-    def _attacked_cycle_parity(self, j: np.ndarray, p0: int, target: int) -> np.ndarray:
-        """Parity at within-cycle offsets j of an attacked cycle."""
+    def _attacked_parity(self, slots: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Parity at `slots` of the attacked cycles `k` they lie in."""
         C = self.cfg.cycle_slots
         W = self.cfg.recovery_window_slots
-        blind_len = C - W - 1
-        if target == 0:
-            return _blinding_parity(j, p0)
-        parity = np.empty(len(j), dtype=np.uint8)
-        in_blind = j < blind_len
-        parity[in_blind] = _blinding_parity(j[in_blind], p0)
-        in_window = (j >= blind_len) & (j < C - 1)
-        if target == PORT2:
-            parity[in_window] = p0 ^ 1
-        else:
-            i = j[in_window] - blind_len
-            parity[in_window] = ((p0 ^ 1) ^ ((i + 1) & 1)).astype(np.uint8)
-        edge = j == C - 1
-        parity[edge] = p0 if target == PORT2 else (p0 ^ 1) ^ (W & 1)
+        j = slots - k * C
+        # Blinding, entered with the parity of the preceding slot: the first
+        # slot flips (difference pi), then differences alternate 0, pi -- the
+        # {0,0,pi,pi} repetition.  Only bit 0 matters, so uint8 wrap is fine.
+        parity = (j >> 1).astype(np.uint8)
+        parity += self.entry_parity[k] + 1
+        parity &= 1
+        # Window offset i < W, then the re-blinding edge at i = W.  A port-2
+        # target holds the phase through the window (light on port 1) and
+        # flips at the edge; a port-1 target alternates through the window
+        # (light on port 2) and repeats at the edge.
+        tail = np.flatnonzero(j >= C - W - 1)
+        tail = tail[self.targets[k[tail]] != 0]
+        i = j[tail] - (C - W - 1)
+        p = self.entry_parity[k[tail]]
+        parity[tail] = np.where(
+            self.targets[k[tail]] == PORT2, p ^ (i < W), p ^ 1 ^ ((np.minimum(i, W - 1) + 1) & 1)
+        )
         return parity
 
-    def channel_fields(self, lo: int, hi: int):
-        """(mean, parity, wavelength) arrays for slots [lo, hi)."""
-        n = hi - lo
-        mean = np.empty(n, dtype=np.float64)
-        parity = np.empty(n, dtype=np.uint8)
-        lam = np.empty(n, dtype=np.float64)
-        C = self.cfg.cycle_slots
-        k = lo // C
-        pos = lo
-        while pos < hi:
-            start = k * C
-            end = min(start + C, hi)
-            seg = slice(pos - lo, end - lo)
-            if self.attacked[k]:
-                j = np.arange(pos - start, end - start, dtype=np.int64)
-                mean[seg] = self.cfg.blind_photons_per_slot
-                lam[seg] = self.cfg.blind_wavelength_nm
-                parity[seg] = self._attacked_cycle_parity(
-                    j, int(self.entry_parity[k]), int(self.targets[k])
-                )
-            else:
-                mean[seg] = self.signal_mean
-                lam[seg] = self.signal_wavelength_nm
-                parity[seg] = self.alice_parity_at(np.arange(pos, end, dtype=np.int64))
-            pos = end
-            k += 1
+    def channel_fields(self, slots: np.ndarray):
+        """(mean, parity, wavelength) at the given slot indices, in closed
+        form from the cycle schedule.  Mean and wavelength are constant over
+        each cycle, and are scalars when all slots lie in attacked cycles or
+        all in pass-through ones."""
+        cfg = self.cfg
+        k = slots // cfg.cycle_slots
+        attacked = self.attacked[k]
+        if attacked.all():
+            parity = self._attacked_parity(slots, k)
+            return cfg.blind_photons_per_slot, parity, cfg.blind_wavelength_nm
+        if not attacked.any():
+            return self.signal_mean, self.alice_parity_at(slots), self.signal_wavelength_nm
+        mean = np.where(attacked, cfg.blind_photons_per_slot, self.signal_mean)
+        lam = np.where(attacked, cfg.blind_wavelength_nm, self.signal_wavelength_nm)
+        passing = ~attacked
+        parity = np.empty(len(slots), dtype=np.uint8)
+        parity[passing] = self.alice_parity_at(slots[passing])
+        parity[attacked] = self._attacked_parity(slots[attacked], k[attacked])
         return mean, parity, lam
+
 
 def validate_against_detectors(cfg: AttackConfig, recovery_slots: int) -> None:
     """Warn when the recovery window is too short for the detectors to

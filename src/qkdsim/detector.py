@@ -16,25 +16,27 @@ moves to Blinded silently; any bright slot also cancels a pending dead
 time for the same reason.
 
 `simulate_block` is the detector stage the engine runs, over a chunk of
-slots at a time.  It works from the indices of the chunk's bright slots:
-the live dim slots lie at least `recovery_slots` after a bright one, in
-intervals given in closed form, and only those draw a variate and
-evaluate the escape probability.  A bright slot is a rising-edge
-candidate when more than `recovery_slots` slots separate it from the
-previous bright one.  `Detector.step` is the slot-by-slot reference it
-is tested against: both read the same counter-based variate for a slot,
-so they produce identical click sequences.
+slots at a time, without visiting every slot.  It is given the chunk's
+bright slots and, for each piece of constant light, the incident levels
+its slots can show.  The live dim slots lie at least `recovery_slots`
+after a bright one, in intervals given in closed form; a bright slot is a
+rising-edge candidate when more than `recovery_slots` slots separate it
+from the previous bright one.  Live slots are thinned against their
+piece's largest escape probability with one integer comparison of the raw
+variate (`rng.raw_limit`), and only the survivors get their exact
+incident mean and the exact test `uniform < escape`.  The counter-based
+variate of a slot is the same whichever slots are drawn, so the clicks
+equal those of the slot-by-slot reference state machine in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .rng import SlotRng
+from .rng import SlotRng, raw_limit
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 299792458.0
@@ -64,78 +66,18 @@ class DetectorParams:
         if self.recovery_slots < 1:
             raise ValueError("recovery_slots must be >= 1")
 
+    def escape(self, incident):
+        """Click probability of a Ready detector in a dim slot: photon or
+        dark count, 1 - (1 - d) e^{-mean*eta}."""
+        return 1.0 - (1.0 - self.dark_prob_per_slot) * np.exp(-incident * self.efficiency)
 
-class Mode(Enum):
-    READY = "ready"
-    DEAD = "dead"
-    BLINDED = "blinded"
-
-
-@dataclass
-class DetectorState:
-    mode: Mode = Mode.READY
-    until_slot: int = _NEVER        # first clickable slot while DEAD
-    last_bright_slot: int = _NEVER  # latest above-threshold slot while BLINDED
-
-
-@dataclass(frozen=True)
-class ClickEvent:
-    detector_id: int
-    slot: int
-
-
-class Detector:
-    """One detector unit: parameters, live state, and its random stream.
-
-    Must be stepped in strictly increasing slot order by a single caller.
-    """
-
-    def __init__(self, detector_id: int, params: DetectorParams, rng: SlotRng):
-        if detector_id not in (1, 2, 3, 4):
-            raise ValueError("detector_id must be 1..4")
-        self.detector_id = detector_id
-        self.params = params
-        self.rng = rng
-        self.state = DetectorState()
-        self._last_stepped = _NEVER
-
-    def step(self, incident_mean: float, slot: int) -> ClickEvent | None:
-        """Advance one slot; return a ClickEvent if the detector fired."""
-        if incident_mean < 0.0:
-            raise ValueError("incident_mean must be >= 0")
-        if slot <= self._last_stepped:
-            raise ValueError(
-                f"slots must be strictly increasing (got {slot} after {self._last_stepped})"
-            )
-        self._last_stepped = slot
-        p = self.params
-        st = self.state
-
-        if incident_mean >= p.blind_threshold_photons:
-            # Bright branch: latch high.  Rising edge only from Ready.
-            clicked = st.mode is Mode.READY
-            st.mode = Mode.BLINDED
-            st.last_bright_slot = slot
-            return ClickEvent(self.detector_id, slot) if clicked else None
-
-        # Dim branch: leave Blinded/Dead first if due, then act as Ready.
-        if st.mode is Mode.BLINDED:
-            if slot - st.last_bright_slot >= p.recovery_slots:
-                st.mode = Mode.READY
-        elif st.mode is Mode.DEAD:
-            if slot >= st.until_slot:
-                st.mode = Mode.READY
-        if st.mode is not Mode.READY:
-            return None
-
-        escape = 1.0 - (1.0 - p.dark_prob_per_slot) * math.exp(
-            -incident_mean * p.efficiency
-        )
-        if float(self.rng.uniform_at(slot)) < escape:
-            st.mode = Mode.DEAD
-            st.until_slot = slot + p.dead_time_slots
-            return ClickEvent(self.detector_id, slot)
-        return None
+    def escape_bound(self, levels):
+        """Per row of `levels` (the incident means that a piece of slots
+        can show), the largest escape probability among its dim levels, 0
+        if it has none: no live slot of the piece can click more likely."""
+        levels = np.asarray(levels, dtype=np.float64)
+        dim = levels < self.blind_threshold_photons
+        return np.where(dim, self.escape(levels), 0.0).max(axis=-1)
 
 
 @dataclass
@@ -147,58 +89,65 @@ class BlockState:
     last_dim_click: int = _NEVER
 
 
-def simulate_block(
-    incident: np.ndarray,
-    base_slot: int,
-    params: DetectorParams,
-    state: BlockState,
-    rng: SlotRng,
-) -> np.ndarray:
-    """Run one detector over a contiguous slot block; return click slots.
-
-    Equivalent to calling `Detector.step` for slots
-    [base_slot, base_slot + len(incident)), but candidate clicks are found
-    with array operations from the bright-slot indices, and only the
-    (sparse) candidates are resolved sequentially for dead-time
-    interactions.  Latched slots draw no variate.
-    """
-    n = len(incident)
-    bright = np.flatnonzero(incident >= params.blind_threshold_photons)
-    # Block-relative: interval j runs from the bright slot prev[j] (the
-    # carried one for j = 0) to the next bright slot, ends[j] (the block's
-    # end for the last interval).
-    prev = np.empty(len(bright) + 1, dtype=np.int64)
-    prev[0] = state.last_bright - base_slot
-    prev[1:] = bright
-    ends = np.append(bright, n)
-
-    # Recovery gate: a dim slot is past blinding once `recovery_slots` dim
-    # slots have elapsed since the last bright one (counting itself), so
-    # interval j is live from prev[j] + R.  A bright slot is a rising-edge
-    # candidate only if the detector had already recovered at some dim slot
-    # before it, i.e. its own interval held a live slot: a gap of more than R.
-    starts = np.maximum(prev + params.recovery_slots, 0)
+def slot_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The slots of the ranges [starts[i], ends[i]), in order; a range
+    with ends[i] <= starts[i] is empty."""
     lengths = np.maximum(ends - starts, 0)
     offsets = np.cumsum(lengths) - lengths
-    live = np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-    escape = 1.0 - (1.0 - params.dark_prob_per_slot) * np.exp(
-        -incident[live] * params.efficiency
+    slots = np.arange(int(lengths.sum()))
+    slots += np.repeat(starts - offsets, lengths)
+    return slots
+
+
+def simulate_block(lo: int, hi: int, bright: np.ndarray, piece_starts: np.ndarray,
+                   piece_levels: np.ndarray, incident_at, params: DetectorParams,
+                   state: BlockState, rng: SlotRng) -> np.ndarray:
+    """Run one detector over the slots [lo, hi); return its click slots.
+
+    Equivalent to stepping the state machine through every slot, given
+    `bright`, the sorted slots whose incident mean reaches the blinding
+    threshold, and the pieces of constant light starting at `piece_starts`
+    (the first at `lo`): every dim slot of piece i sees one of the incident
+    means `piece_levels[i]`.  `incident_at` maps sorted slots to their exact
+    incident mean; it is called only for the slots that survive thinning.
+    Candidate clicks are then resolved sequentially for dead time.
+    """
+    # Interval j runs from the bright slot prev[j] (the carried one for
+    # j = 0) to the next bright slot (or `hi`).  A dim slot is past
+    # blinding once `recovery_slots` dim slots have elapsed since the last
+    # bright one (counting itself), so interval j is live from prev[j] + R.
+    # A bright slot is a rising-edge candidate only if the detector had
+    # already recovered at some dim slot before it, i.e. its own interval
+    # held a live slot: a gap of more than R.  Only those gaps matter.
+    R = params.recovery_slots
+    prev = np.append(np.int64(state.last_bright), bright)
+    gap = np.flatnonzero(np.diff(prev) > R)
+    live = slot_ranges(
+        np.maximum(np.append(prev[gap], prev[-1]) + R, lo), np.append(bright[gap], hi)
     )
-    dim = live[rng.uniform_at(live + base_slot) < escape]
-    edge = bright - prev[:-1] > params.recovery_slots
+
+    # Thinning: a live slot can click only if its variate lies below its
+    # piece's escape bound, an integer test on the raw variate; only the
+    # survivors get their exact incident mean and escape probability.
+    raw = rng.raw_at(live)
+    keep = np.empty(len(live), dtype=bool)
+    first = np.searchsorted(live, piece_starts).tolist()
+    limits = raw_limit(params.escape_bound(piece_levels)).tolist()
+    for i0, i1, limit in zip(first, first[1:] + [len(live)], limits):
+        np.less_equal(raw[i0:i1], limit, out=keep[i0:i1])
+    thin = live[keep]
+    dim = thin[rng.uniform_at(thin) < params.escape(incident_at(thin))]
 
     # Candidates in slot order, each with the last bright slot before it.
-    cand = np.concatenate((dim, bright[edge]))
+    cand = np.concatenate((dim, bright[gap]))
     order = np.argsort(cand, kind="stable")
-    lbs = np.concatenate((prev[np.searchsorted(bright, dim)], prev[:-1][edge]))
+    lbs = np.concatenate((prev[np.searchsorted(bright, dim)], prev[gap]))
 
     clicks = []
     dead_until = state.dead_until
     last_dim_click = state.last_dim_click
     for s, lb, at_bright in zip(
-        (cand[order] + base_slot).tolist(),
-        (lbs[order] + base_slot).tolist(),
-        (order >= len(dim)).tolist(),
+        cand[order].tolist(), lbs[order].tolist(), (order >= len(dim)).tolist()
     ):
         # Dead time applies unless a bright slot after the click latched the
         # output high (which supersedes it).  A dim slot at the expiry slot
@@ -217,7 +166,7 @@ def simulate_block(
             dead_until = s + params.dead_time_slots
 
     # Carry state out of the block.
-    state.last_bright = int(prev[-1]) + base_slot
+    state.last_bright = int(prev[-1])
     state.dead_until = dead_until
     state.last_dim_click = last_dim_click
     return np.asarray(clicks, dtype=np.int64)
@@ -245,10 +194,11 @@ def count_rate_sweep(
     for j, power in enumerate(powers):
         if power < 0.0:
             raise ValueError("powers must be >= 0")
-        incident = np.full(slots_per_point, float(power))
-        state = BlockState()
         # Disjoint slot ranges keep the points statistically independent.
-        clicks = simulate_block(incident, j * slots_per_point, params, state, rng)
+        lo, hi = j * slots_per_point, (j + 1) * slots_per_point
+        bright = np.arange(lo, hi) if power >= params.blind_threshold_photons else np.arange(0)
+        clicks = simulate_block(lo, hi, bright, np.array([lo]), np.array([[float(power)]]),
+                                lambda s: np.full(len(s), float(power)), params, BlockState(), rng)
         results.append((float(power), clock_hz * len(clicks) / slots_per_point))
     return results
 

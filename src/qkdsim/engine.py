@@ -1,13 +1,19 @@
 """Scenario runner: a pipeline of one call per physical stage.
 
-Each chunk of slots passes source or attack fields (`attack.AttackPlan`)
--> band-pass filter -> interferometer -> couplers (`optics`) -> four
-detectors (`detector.simulate_block`); the run's merged click log is then
-sifted once (`protocol.sift`) and reduced to metrics.  Only the last
-slot's mean and phase parity carry over from one chunk to the next, and
-every random draw is counter-based (see `rng`), so the click log and
-metrics are byte-identical for a given config regardless of chunking or
-sweep parallelism.
+The link is an index-addressed chain (`optics.OpticalChain`): source or
+attack fields (`protocol.AliceSource`, `attack.AttackPlan`) -> band-pass
+filter -> interferometer -> couplers, evaluated at any sorted slots, each
+slot's predecessor gathered rather than carried.  Each chunk of slots is
+split into pieces of constant source light with known incident levels.
+Only pieces whose levels can reach a blinding threshold (in practice, the
+attacked cycles) are evaluated slot by slot, for their bright slots; each
+detector (`detector.simulate_block`) thins its live dim slots against its
+pieces' escape bounds and evaluates the chain only at the survivors.  The
+merged click log is sifted once (`protocol.sift`) and reduced to metrics.
+Only the detectors' state carries from chunk to chunk, and every random
+draw is counter-based (see `rng`), so the click log and metrics are
+byte-identical for a given config regardless of chunking or sweep
+parallelism.
 
 `CHUNK_SLOTS` is sized for the cache: a 2^16-slot chunk keeps each
 per-slot float64 or int64 temporary at 512 kB, so the numpy passes over
@@ -45,8 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackConfig, AttackPlan, eve_outcome, validate_against_detectors
-from .detector import BlockState, DetectorParams, simulate_block
-from .optics import BandpassFilter, CouplerModel, mzi_ports
+from .detector import BlockState, DetectorParams, simulate_block, slot_ranges
+from .optics import BandpassFilter, CouplerModel, OpticalChain
 from .protocol import (
     AliceSource,
     ClickLog,
@@ -88,6 +94,14 @@ class ConfigError(ValueError):
         self.path = path
 
 
+# The type a config value must have, by field annotation; a bool, though
+# an int to Python, is accepted only where the annotation says bool.
+_FIELD_TYPES = {
+    "int": int, "float": (int, float), "bool": bool, "str": str,
+    "BandpassFilter": BandpassFilter, "CouplerModel": CouplerModel, "AttackConfig": AttackConfig,
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     clock_hz: float = 1e9
@@ -112,14 +126,21 @@ class ScenarioConfig:
         return 10.0 ** (-self.channel_loss_dB / 10.0)
 
     def validate(self) -> None:
-        nested = [("", self), ("filter.", self.filter), ("coupler.", self.coupler),
-                  ("attack.", self.attack)]
-        nested += [(f"detectors.{i}.", d) for i, d in enumerate(self.detectors)]
+        if not isinstance(self.detectors, tuple) or not all(
+            isinstance(d, DetectorParams) for d in self.detectors
+        ):
+            raise ConfigError("detectors", "expected a list of detector objects")
+        nested = [("", self)] + [(f"detectors.{i}.", d) for i, d in enumerate(self.detectors)]
         for prefix, obj in nested:
             for f in dataclasses.fields(obj):
-                value = getattr(obj, f.name)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ConfigError(prefix + f.name, "must be finite")
+                value, path = getattr(obj, f.name), prefix + f.name
+                expected = _FIELD_TYPES.get(f.type, object)
+                if not isinstance(value, expected) or (isinstance(value, bool) and f.type != "bool"):
+                    raise ConfigError(path, f"expected {f.type}, got {value!r}")
+                if dataclasses.is_dataclass(value):
+                    nested.append((path + ".", value))
+                elif isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(path, "must be finite")
         if self.clock_hz <= 0.0:
             raise ConfigError("clock_hz", "must be > 0")
         if self.n_slots < 2:
@@ -140,7 +161,7 @@ class ScenarioConfig:
             raise ConfigError("alarm_fraction_threshold", "must be in [0, 1]")
         if self.error_correction_f < 1.0:
             raise ConfigError("error_correction_f", "must be >= 1")
-        if not isinstance(self.seed, int) or not -(2**63) <= self.seed < 2**64:
+        if not -(2**63) <= self.seed < 2**64:
             raise ConfigError("seed", "must be a 64-bit integer")
         validate_against_detectors(
             self.attack, max(d.recovery_slots for d in self.detectors)
@@ -192,60 +213,47 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     metrics.
     """
     cfg.validate()
+    # glibc's malloc maps each block above its mmap threshold (128 kB at
+    # first) afresh, so chunk temporaries would page-fault new memory.
+    # Freeing a mapped block raises that threshold to its size (the trim
+    # threshold to twice that): one untouched 4 MB block keeps them on heap.
+    np.empty(1 << 19)
     streams = RunStreams(cfg.seed)
-    alice = AliceSource(cfg.alice_mode, streams.alice)
     signal_mean = cfg.mu * cfg.transmission
-
-    plan = None
+    alice = AliceSource(cfg.alice_mode, streams.alice, signal_mean, cfg.signal_wavelength_nm)
+    source, segment_slots = alice, cfg.n_slots
     if cfg.attack.enabled:
         eve = functools.partial(
             eve_outcome, mu=cfg.mu, rng=streams.eve, alice_parity_at=alice.parity_at
         )
-        plan = AttackPlan(
-            cfg.attack,
-            cfg.n_slots,
-            signal_mean,
-            cfg.signal_wavelength_nm,
-            alice.parity_at,
-            streams.cycles,
-            eve,
-        )
+        source = AttackPlan(cfg.attack, cfg.n_slots, signal_mean, cfg.signal_wavelength_nm,
+                            alice.parity_at, streams.cycles, eve)
+        segment_slots = cfg.attack.cycle_slots
+    chain = OpticalChain(
+        source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip, segment_slots
+    )
 
+    thresholds = np.array([[d.blind_threshold_photons] for d in cfg.detectors])
     det_states = [BlockState() for _ in range(4)]
     det_clicks = [[] for _ in range(4)]
-    mean_prev = 0.0
-    parity_prev = np.uint8(0)
-    const_mean = None  # reused buffer for attack-free chunks
-
     lo = 0
     try:
         for lo in range(0, cfg.n_slots, CHUNK_SLOTS):
             hi = min(lo + CHUNK_SLOTS, cfg.n_slots)
-            slots = np.arange(lo, hi, dtype=np.int64)
-
-            if plan is not None:
-                mean, parity, lam = plan.channel_fields(lo, hi)
-            else:
-                if const_mean is None or len(const_mean) != hi - lo:
-                    const_mean = np.full(hi - lo, signal_mean)
-                mean, parity = const_mean, alice.parity_at(slots)
-                lam = cfg.signal_wavelength_nm
-            mean = cfg.filter.apply(mean, lam)
-
-            dparity = np.empty_like(parity)
-            dparity[0] = parity[0] ^ parity_prev
-            dparity[1:] = parity[1:] ^ parity[:-1]
-            if cfg.phase_flip_prob > 0.0:
-                dparity ^= streams.flip.uniform_at(slots) < cfg.phase_flip_prob
-            port1, port2 = mzi_ports(mean, 1.0 - 2.0 * dparity, mean_prev)
-            incidents = (*cfg.coupler.split(port1, lam), *cfg.coupler.split(port2, lam))
-
-            for clicks, incident, params, state, rng in zip(
-                det_clicks, incidents, cfg.detectors, det_states, streams.detectors
+            starts, levels = chain.pieces(lo, hi)
+            # Bright slots can only lie in pieces with a level at some
+            # threshold; only those pieces are evaluated slot by slot.
+            hot = (levels.max(axis=2) >= thresholds).any(axis=0)
+            hot_slots = slot_ranges(starts[hot], np.append(starts[1:], hi)[hot])
+            hot_incidents = chain.incidents_at(hot_slots)
+            for d, (clicks, params, state, rng) in enumerate(
+                zip(det_clicks, cfg.detectors, det_states, streams.detectors)
             ):
-                clicks.append(simulate_block(incident, lo, params, state, rng))
-            mean_prev = float(mean[-1])
-            parity_prev = parity[-1]
+                bright = hot_slots[hot_incidents[d] >= params.blind_threshold_photons]
+                clicks.append(simulate_block(
+                    lo, hi, bright, starts, levels[d],
+                    lambda slots, d=d: chain.incidents_at(slots)[d], params, state, rng,
+                ))
     except Exception as exc:
         hi = min(lo + CHUNK_SLOTS, cfg.n_slots)
         raise RuntimeError(

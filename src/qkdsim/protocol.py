@@ -36,18 +36,27 @@ class NoDataError(ValueError):
 
 
 class AliceSource:
-    """Alice's phase parities and key bits, by slot index.
+    """Alice's pulses, phase parities and key bits, by slot index.
 
     `random` draws each phase uniformly from {0, pi} from the seeded
     stream; `static_0pi` alternates 0, pi, 0, pi (the attack-emulation
-    pattern, whose per-slot key bit is always 1).
+    pattern, whose per-slot key bit is always 1).  `mean` and
+    `wavelength_nm` describe every pulse as it reaches Bob.
     """
 
-    def __init__(self, mode: str, rng: SlotRng):
+    def __init__(self, mode: str, rng: SlotRng, mean: float = 0.0,
+                 wavelength_nm: float = 1551.0):
         if mode not in ("random", "static_0pi"):
             raise ValueError(f"unknown alice mode {mode!r}")
         self.mode = mode
         self.rng = rng
+        self.mean = mean
+        self.wavelength_nm = wavelength_nm
+
+    def channel_fields(self, slots):
+        """(mean, parity, wavelength) at the given slot indices; mean and
+        wavelength are the same scalars for every slot."""
+        return self.mean, self.parity_at(slots), self.wavelength_nm
 
     def parity_at(self, slots):
         s = np.asarray(slots, dtype=np.int64)

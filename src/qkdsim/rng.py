@@ -45,6 +45,17 @@ def child_seed(master: int, index: int) -> int:
     return derive_seed(master, "sweep-run", index)
 
 
+def raw_limit(p):
+    """Largest raw variate whose uniform variate can lie below `p`, per entry.
+
+    `uniform_at` maps raw r to (r >> 11) / 2**53, so for p > 0, uniform < p
+    exactly when r < ceil(p * 2**53) << 11, i.e. r <= raw_limit(p), which
+    stays within 64 bits at p = 1.  For p = 0 it keeps raw values < 2**11.
+    """
+    k = np.maximum(np.ceil(np.asarray(p, dtype=np.float64) * 2.0**53), 1.0)
+    return ((k.astype(np.uint64) - _U64(1)) << _U64(11)) | _U64(2047)
+
+
 class SlotRng:
     """Random-access uniform variates indexed by slot (or cycle) number.
 
@@ -54,21 +65,23 @@ class SlotRng:
     seeded with this stream's seed.
     """
 
-    __slots__ = ("seed", "_seed_u64")
+    __slots__ = ("seed", "_seed_u64", "_offset")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._seed_u64 = _U64(seed & 0xFFFFFFFFFFFFFFFF)
+        # (index + 1) * golden + seed == index * golden + _offset (mod 2^64)
+        self._offset = _U64((seed + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
 
     def raw_at(self, index):
         with np.errstate(over="ignore"):
-            idx = np.asarray(index, dtype=np.uint64)
+            idx = np.asarray(index)
+            idx = idx.view(np.uint64) if idx.dtype == np.int64 else idx.astype(np.uint64, copy=False)
             if idx.ndim == 0:
                 return mix64(self._seed_u64 + (idx + _U64(1)) * _GOLDEN)
             # In-place pipeline; one temp array for the shifted halves.
-            z = idx + _U64(1)
-            z *= _GOLDEN
-            z += self._seed_u64
+            z = idx * _GOLDEN
+            z += self._offset
             t = z >> _U64(30)
             z ^= t
             z *= _MIX1

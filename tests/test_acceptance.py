@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from qkdsim.cli import PRESETS, config_from_dict
-from qkdsim.detector import (
-    Detector,
-    DetectorParams,
-    count_rate_sweep,
-    photons_to_dBm,
-)
+from qkdsim.detector import DetectorParams, count_rate_sweep, photons_to_dBm
 from qkdsim.engine import config_with, run_scenario, run_sweep
 from qkdsim.optics import mzi_ports
 from qkdsim.protocol import KeyRateInputs, secure_fraction, secure_key_length
@@ -27,6 +22,7 @@ from qkdsim.rng import SlotRng
 from oracles import (
     SECURE_FRACTION_E0,
     SECURE_FRACTION_E032,
+    Detector,
     mzi_ports_by_amplitude,
     secure_fraction_reference,
 )
@@ -219,7 +215,8 @@ def _mzi_oracle_check(n_cases: int) -> int:
         alpha = float(rng.uniform(0.1, 300.0))
         ref1, ref2 = mzi_ports_by_amplitude(list(phases), alpha=alpha)
         cos_dphi = np.cos(phases - np.concatenate(([0.0], phases[:-1])))
-        port1, port2 = mzi_ports(np.full(n, alpha * alpha), cos_dphi, 0.0)
+        means = np.full(n, alpha * alpha)
+        port1, port2 = mzi_ports(means, cos_dphi, np.concatenate(([0.0], means[:-1])))
         scale = max(1.0, alpha * alpha)
         for k in range(n):
             if (

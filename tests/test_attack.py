@@ -20,13 +20,21 @@ def make_plan(cfg, n, alice=None, cycle_rng=None, eve_outcome_at=None):
     )
 
 
+def fields(plan, lo, hi):
+    """A plan's (mean, parity, wavelength) at every slot of [lo, hi), as
+    arrays."""
+    mean, parity, lam = plan.channel_fields(np.arange(lo, hi))
+    return np.broadcast_to(mean, hi - lo), parity, np.broadcast_to(lam, hi - lo)
+
+
 def plan_ports(plan, mean_prev=0.0):
-    """Trace a plan's fields for the whole run through the interferometer,
-    as the engine does (no phase flips; the slot before the run has parity
-    0 and mean `mean_prev`)."""
-    mean, parity, _ = plan.channel_fields(0, plan.n_slots)
+    """Trace a plan's fields for the whole run through the interferometer
+    (no phase flips; the slot before the run has parity 0 and mean
+    `mean_prev`)."""
+    mean, parity, _ = fields(plan, 0, plan.n_slots)
     dparity = parity ^ np.concatenate(([0], parity[:-1])).astype(np.uint8)
-    return mzi_ports(mean, 1.0 - 2.0 * dparity, mean_prev)
+    prev = np.concatenate(([mean_prev], mean[:-1]))
+    return mzi_ports(mean, 1.0 - 2.0 * dparity, prev)
 
 
 class TestEveMeasure:
@@ -58,7 +66,7 @@ class TestEveMeasure:
 class TestBlindingSegment:
     def test_textbook_pattern(self):
         # Entered after parity 0, the first slot flips, then {pi,pi,0,0} repeats.
-        _, parity, _ = make_plan(AttackConfig(enabled=True), 100).channel_fields(0, 8)
+        _, parity, _ = fields(make_plan(AttackConfig(enabled=True), 100), 0, 8)
         assert list(parity) == [1, 1, 0, 0, 1, 1, 0, 0]
 
     def test_alternates_ports_downstream(self):
@@ -91,7 +99,7 @@ class TestRecoveryWindow:
     def test_port2_window_is_constant_phase_and_dark(self):
         cfg = AttackConfig(enabled=True, mode="emulation")
         plan = make_plan(cfg, cfg.cycle_slots)
-        _, parity, _ = plan.channel_fields(0, cfg.cycle_slots)
+        _, parity, _ = fields(plan, 0, cfg.cycle_slots)
         window = self._window(cfg)
         assert len(set(parity[window])) == 1
         p1, p2 = plan_ports(plan)
@@ -103,7 +111,7 @@ class TestRecoveryWindow:
         plan = make_plan(
             cfg, cfg.cycle_slots, eve_outcome_at=lambda s: np.full(len(s), PORT1)
         )
-        _, parity, _ = plan.channel_fields(0, cfg.cycle_slots)
+        _, parity, _ = fields(plan, 0, cfg.cycle_slots)
         window = self._window(cfg)
         assert np.all(np.diff(parity[window].astype(int)) != 0)
         p1, _ = plan_ports(plan)
@@ -120,7 +128,7 @@ class TestAssembleProgram:
         cfg = AttackConfig(enabled=True, mode="emulation")
         n = 2 * cfg.cycle_slots
         plan = make_plan(cfg, n)
-        mean, _, _ = plan.channel_fields(0, n)
+        mean, _, _ = fields(plan, 0, n)
         assert np.all(mean == cfg.blind_photons_per_slot)
         p1, p2 = plan_ports(plan)
         C = cfg.cycle_slots
@@ -133,7 +141,7 @@ class TestAssembleProgram:
         cfg = AttackConfig(enabled=True, mode="emulation", attacked_fraction=0.5)
         n = 20 * cfg.cycle_slots
         alice = AliceSource("static_0pi", SlotRng(1))
-        mean, parity, _ = make_plan(cfg, n, alice, SlotRng(77)).channel_fields(0, n)
+        mean, parity, _ = fields(make_plan(cfg, n, alice, SlotRng(77)), 0, n)
         assert set(np.unique(mean)) == {SIGNAL, cfg.blind_photons_per_slot}
         # pass-through slots carry Alice's phases
         passthrough = mean == SIGNAL
@@ -144,7 +152,7 @@ class TestAssembleProgram:
         cfg = AttackConfig(enabled=True, mode="emulation", attacked_fraction=0.0)
         n = 3 * cfg.cycle_slots
         alice = AliceSource("random", SlotRng(4))
-        mean, parity, lam = make_plan(cfg, n, alice).channel_fields(0, n)
+        mean, parity, lam = fields(make_plan(cfg, n, alice), 0, n)
         assert np.all(mean == SIGNAL) and np.all(lam == 1551.0)
         assert np.array_equal(parity, alice.parity_at(np.arange(n)))
 

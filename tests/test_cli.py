@@ -120,6 +120,25 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {path}: must be finite\n"
         assert not (tmp_path / "metrics.json").exists()
 
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ("mu=abc", "mu"),
+            ("detectors=5", "detectors"),
+            ("detectors.*.dead_time_slots=2.5", "detectors.0.dead_time_slots"),
+            ("seed=true", "seed"),
+            ("n_slots=1e6", "n_slots"),
+        ],
+    )
+    def test_wrongly_typed_value_exits_1(self, tmp_path, capsys, override, path):
+        code = run_cli(
+            "run", "--preset", "normal", "--set", override, "--out", str(tmp_path)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_set_overrides_and_vacuum(self, tmp_path):
         code = run_cli(
             "run", "--out", str(tmp_path), "--slots", "10000",

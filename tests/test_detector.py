@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from qkdsim.detector import (
     BlockState,
-    Detector,
     DetectorParams,
-    Mode,
     count_rate_sweep,
     dBm_to_photons,
     photons_to_dBm,
     simulate_block,
 )
 from qkdsim.rng import SlotRng
+
+from oracles import Detector, Mode
 
 
 def params(**kw):
@@ -32,6 +32,19 @@ def params(**kw):
 
 def make_det(det_id=1, seed=1, **kw):
     return Detector(det_id, params(**kw), SlotRng(seed))
+
+
+def dense_block(incident, base, par, state, rng):
+    """`simulate_block` over the slots [base, base + len(incident)), given
+    the incident mean of every slot: one piece whose levels are all the
+    means present (plus 0, so an empty block still has one)."""
+    incident = np.asarray(incident, dtype=np.float64)
+    bright = base + np.flatnonzero(incident >= par.blind_threshold_photons)
+    levels = np.unique(np.append(incident, 0.0))[None, :]
+    return simulate_block(
+        base, base + len(incident), bright, np.array([base]), levels,
+        lambda slots: incident[slots - base], par, state, rng,
+    )
 
 
 class TestParamsValidation:
@@ -136,7 +149,7 @@ def test_dim_click_statistics_match_poisson_escape():
     # per slot with p = 1 - e^{-1e-3}.
     p = params(efficiency=0.06, dead_time_slots=0)
     incident = np.full(1_000_000, 0.001 / 0.06)
-    clicks = simulate_block(incident, 0, p, BlockState(), SlotRng(321))
+    clicks = dense_block(incident, 0, p, BlockState(), SlotRng(321))
     expect = 1_000_000 * (1.0 - math.exp(-0.001))
     sigma = math.sqrt(expect)
     assert abs(len(clicks) - expect) < 3.0 * sigma
@@ -145,10 +158,10 @@ def test_dim_click_statistics_match_poisson_escape():
 def test_determinism_same_seed_same_clicks():
     incident = np.full(50_000, 0.02)
     p = params()
-    a = simulate_block(incident, 0, p, BlockState(), SlotRng(5))
-    b = simulate_block(incident, 0, p, BlockState(), SlotRng(5))
+    a = dense_block(incident, 0, p, BlockState(), SlotRng(5))
+    b = dense_block(incident, 0, p, BlockState(), SlotRng(5))
     assert np.array_equal(a, b)
-    c = simulate_block(incident, 0, p, BlockState(), SlotRng(6))
+    c = dense_block(incident, 0, p, BlockState(), SlotRng(6))
     assert not np.array_equal(a, c)
 
 
@@ -182,7 +195,7 @@ def test_block_simulation_equals_step_reference(seq, seed, dead, recovery):
     )
     incident = np.asarray(seq)
     ref = _run_step_reference(incident, par, seed)
-    got = simulate_block(incident, 0, par, BlockState(), SlotRng(seed))
+    got = dense_block(incident, 0, par, BlockState(), SlotRng(seed))
     assert list(got) == ref
 
 
@@ -197,12 +210,12 @@ def test_block_simulation_equals_step_reference(seq, seed, dead, recovery):
 def test_block_simulation_chunking_invariant(seq, seed, split):
     par = params(efficiency=0.2, dark_prob_per_slot=0.005)
     incident = np.asarray(seq)
-    whole = simulate_block(incident, 0, par, BlockState(), SlotRng(seed))
+    whole = dense_block(incident, 0, par, BlockState(), SlotRng(seed))
     state = BlockState()
     parts = []
     cut = min(split, len(seq))
-    parts.extend(simulate_block(incident[:cut], 0, par, state, SlotRng(seed)))
-    parts.extend(simulate_block(incident[cut:], cut, par, state, SlotRng(seed)))
+    parts.extend(dense_block(incident[:cut], 0, par, state, SlotRng(seed)))
+    parts.extend(dense_block(incident[cut:], cut, par, state, SlotRng(seed)))
     assert list(whole) == parts
 
 
@@ -250,7 +263,7 @@ def test_block_state_carries_across_cuts_at_any_base(runs, base, cuts, seed, dea
                 ref.append(base + i)
                 if incident[i] < par.blind_threshold_photons:
                     last_dim_click = base + i
-        got += simulate_block(incident[lo:hi], base + lo, par, state, SlotRng(seed)).tolist()
+        got += dense_block(incident[lo:hi], base + lo, par, state, SlotRng(seed)).tolist()
         assert got == ref
         assert state.last_bright == det.state.last_bright_slot
         assert state.dead_until == det.state.until_slot

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qkdsim import engine
 from qkdsim.attack import AttackConfig
@@ -15,11 +17,18 @@ from qkdsim.engine import (
     run_scenario,
     run_sweep,
 )
-from qkdsim.optics import BandpassFilter, CouplerModel
+from qkdsim.detector import DetectorParams
+from qkdsim.optics import BandpassFilter, CouplerModel, OpticalChain
 from qkdsim.protocol import AliceSource, detector_statistics_check, sift
 from qkdsim.rng import RunStreams
 
-from oracles import brute_qber, brute_sift
+from oracles import (
+    brute_qber,
+    brute_sift,
+    incidents_dense,
+    plan_and_source,
+    run_scenario_dense,
+)
 
 
 def small_cfg(**kw):
@@ -104,6 +113,92 @@ def test_chunk_size_does_not_change_the_run(case, monkeypatch):
         assert np.array_equal(log.slots, log_ref.slots)
         assert np.array_equal(log.detector_ids, log_ref.detector_ids)
         assert m == m_ref
+
+
+ORACLE_CASES = {
+    # Alternate bright slots leave single live dim slots between them.
+    "recovery-1": lambda: _preset("full-attack", detectors=[{"recovery_slots": 1}] * 4),
+    # Honest light that blinds the lit pair of every slot.  The efficiency
+    # keeps the CCR estimate mu*T*eta/4 + d below 1, where the metrics are
+    # defined.
+    "bright-honest": lambda: _preset(
+        "normal", channel_loss_dB=0.0, mu=2e5, detectors=[{"efficiency": 1e-5}] * 4
+    ),
+    "filtered-1561nm": lambda: _preset(
+        "partial-attack", filter={"enabled": True}, attack={"blind_wavelength_nm": 1561.0}
+    ),
+    "detuned-coupler": CHUNKING_CASES["detuned-coupler"],
+    "intercept-resend": CHUNKING_CASES["intercept-resend"],
+    # The thinning bound is near 1 and keeps almost every slot.
+    "dark-0.9": lambda: _preset("normal", detectors=[{"dark_prob_per_slot": 0.9}] * 4),
+    "mu-0": lambda: _preset("normal", mu=0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_engine_matches_dense_oracle(case):
+    cfg = dataclasses.replace(ORACLE_CASES[case](), n_slots=300_000)
+    log, m = run_scenario(cfg)
+    log_ref, m_ref = run_scenario_dense(cfg)
+    assert np.array_equal(log.slots, log_ref.slots)
+    assert np.array_equal(log.detector_ids, log_ref.detector_ids)
+    assert m == m_ref
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    mu=st.floats(min_value=0.0, max_value=1e6),
+    loss=st.floats(min_value=0.0, max_value=40.0),
+    efficiency=st.floats(min_value=0.0, max_value=1.0),
+    dark=st.floats(min_value=0.0, max_value=0.99),
+    slope=st.floats(min_value=-0.1, max_value=0.1),
+    filter_on=st.booleans(),
+    blind=st.floats(min_value=1.0, max_value=1e6),
+    blind_nm=st.sampled_from([1551.0, 1552.5, 1561.0]),
+    flip=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    chunk=st.integers(min_value=1, max_value=200),
+)
+def test_escape_bound_covers_every_slot(
+    mu, loss, efficiency, dark, slope, filter_on, blind, blind_nm, flip, seed, chunk
+):
+    """Each piece's thinning bound is at least the exact escape probability
+    of every dim slot in it, and only pieces with a level at the threshold
+    hold bright slots.  The run covers slot 0 and the first slots of cycles
+    after attacked and after pass-through ones."""
+    cfg = ScenarioConfig(
+        n_slots=1000,
+        mu=mu,
+        channel_loss_dB=loss,
+        phase_flip_prob=flip,
+        filter=BandpassFilter(enabled=filter_on),
+        coupler=CouplerModel(ratio_slope_per_nm=slope),
+        detectors=(DetectorParams(efficiency=efficiency, dark_prob_per_slot=dark),) * 4,
+        attack=AttackConfig(
+            enabled=True, blind_photons_per_slot=blind, blinding_slots=40,
+            recovery_window_slots=10, attacked_fraction=0.5, blind_wavelength_nm=blind_nm,
+        ),
+        seed=seed,
+    )
+    streams = RunStreams(seed)
+    plan, alice = plan_and_source(cfg, streams)
+    assume((plan.attacked[:-1] & ~plan.attacked[1:]).any())
+    assume((~plan.attacked[:-1] & plan.attacked[1:]).any())
+    incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
+    chain = OpticalChain(
+        plan, cfg.filter, cfg.coupler, flip, streams.flip, cfg.attack.cycle_slots
+    )
+    for lo in range(0, cfg.n_slots, chunk):
+        hi = min(lo + chunk, cfg.n_slots)
+        starts, levels = chain.pieces(lo, hi)
+        piece = np.searchsorted(starts, np.arange(lo, hi), side="right") - 1
+        for d, params in enumerate(cfg.detectors):
+            exact = incidents[d][lo:hi]
+            dim = exact < params.blind_threshold_photons
+            bound = params.escape_bound(levels[d])[piece]
+            assert np.all(bound[dim] >= params.escape(exact[dim]))
+            top = levels[d].max(axis=1)[piece]
+            assert np.all(top[~dim] >= params.blind_threshold_photons)
 
 
 class TestHonestOperation:

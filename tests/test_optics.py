@@ -16,10 +16,12 @@ def transmission(loss_dB):
 
 
 def ports_for_phases(phases, means, prev_mean=0.0, prev_phase=0.0):
-    """mzi_ports on arbitrary phases: cos_dphi[k] = cos(phi_k - phi_{k-1})."""
+    """mzi_ports on arbitrary phases: cos_dphi[k] = cos(phi_k - phi_{k-1}),
+    and each slot's predecessor mean gathered from `means`."""
     phases = np.asarray(phases, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
     cos_dphi = np.cos(phases - np.concatenate(([prev_phase], phases[:-1])))
-    return mzi_ports(np.asarray(means, dtype=np.float64), cos_dphi, prev_mean)
+    return mzi_ports(means, cos_dphi, np.concatenate(([prev_mean], means[:-1])))
 
 
 def interfere(current_phase, previous_phase, mean):

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkdsim.rng import RunStreams, SlotRng, child_seed, derive_seed, mix64
+from qkdsim.rng import RunStreams, SlotRng, child_seed, derive_seed, mix64, raw_limit
 
 from oracles import splitmix64_outputs
 
@@ -13,6 +13,7 @@ def test_raw_at_matches_reference_splitmix64():
         rng = SlotRng(seed)
         got = rng.raw_at(np.arange(32, dtype=np.uint64))
         assert [int(v) for v in got] == ref
+        assert [int(v) for v in rng.raw_at(np.arange(32))] == ref  # int64 indices
 
 
 def test_scalar_and_batch_agree():
@@ -73,3 +74,21 @@ def test_mix64_avalanche():
     x = np.uint64(123456)
     y = np.uint64(123457)
     assert int(mix64(x)) != int(mix64(y))
+
+
+@given(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2**53).map(lambda k: k / 2**53),
+    ),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_raw_limit_is_the_uniform_comparison(p, raw):
+    # A raw variate r gives the uniform (r >> 11) / 2**53, which is below p
+    # exactly when r <= raw_limit(p) (p > 0).  Check a random r and the
+    # values on both sides of the limit.
+    limit = int(raw_limit(np.array([p]))[0])
+    for r in (raw, limit, limit + 1):
+        if r < 2**64:
+            below = (r >> 11) / 2**53 < p
+            assert (r <= limit) == below or (p == 0.0 and r < 2**11)
