@@ -33,9 +33,10 @@ def main() -> int:
     print(f"{'preset':<15}{'slots':>10}{'QBER':>9}{'CCR A':>10}{'CCR B':>10}"
           f"{'K_sift':>9}{'K_sec':>8}{'attack est':>12}{'abort':>7}{'time':>8}")
     for name, n, m, dt in rows:
+        qb = f"{m.qber:.4f}" if m.qber is not None else "-"
         ccr_a = f"{m.ccr_pair_A:.3g}" if m.ccr_pair_A is not None else "-"
         ccr_b = f"{m.ccr_pair_B:.3g}" if m.ccr_pair_B is not None else "-"
-        print(f"{name:<15}{n:>10}{m.qber:>9.4f}{ccr_a:>10}{ccr_b:>10}"
+        print(f"{name:<15}{n:>10}{qb:>9}{ccr_a:>10}{ccr_b:>10}"
               f"{m.K_sift:>9}{m.K_sec:>8}{m.attack_fraction_est:>12.4f}"
               f"{str(m.abort):>7}{dt:>7.1f}s")
     return 0

@@ -12,7 +12,10 @@ explain      print the fully resolved config (stdout, re-parseable JSON)
 Scenario files are JSON mirroring ScenarioConfig field-for-field; every
 field is optional and unknown keys are errors.  `--preset` applies a named
 configuration first, then the file, then repeated `--set key=value`
-overrides (dotted paths; `detectors.*.x` fans out).
+overrides (dotted paths; `detectors.*.x` fans out).  A `--set` value is
+JSON in the scenario-file format (a bare word is taken as a string), so
+`--set 'attack={"enabled": true}'` replaces the whole attack object; it
+is checked by the same schema (`engine.config_from_dict`) as a file.
 
 Exit codes: 0 success, 1 bad config/arguments, 2 abort-triggering scenario
 when --fail-on-abort is given.
@@ -21,22 +24,21 @@ when --fail-on-abort is given.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .attack import AttackConfig
-from .detector import DetectorParams, count_rate_sweep, dBm_to_photons
+from .detector import count_rate_sweep, dBm_to_photons
 from .engine import (
     ConfigError,
     RunMetrics,
     ScenarioConfig,
+    config_from_dict,
+    config_to_dict,
     config_with,
     run_scenario,
 )
-from .optics import BandpassFilter, CouplerModel
-from .protocol import KeyRateInputs, ccr_estimate, secure_fraction
+from .protocol import KeyRateInputs, secure_fraction
 from .rng import SlotRng, derive_seed
 
 PRESETS: dict[str, dict] = {
@@ -61,63 +63,6 @@ PRESETS: dict[str, dict] = {
         "attack": {"enabled": True, "mode": "emulation", "attacked_fraction": 0.5},
     },
 }
-
-_SUB_TYPES = {
-    "filter": BandpassFilter,
-    "coupler": CouplerModel,
-    "attack": AttackConfig,
-}
-
-
-def _build_dataclass(cls, data: dict, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(path or cls.__name__, "expected an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        key_path = f"{path}.{key}" if path else key
-        if key not in names:
-            raise ConfigError(key_path, "unknown key")
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path or cls.__name__, str(exc)) from exc
-
-
-def config_from_dict(data: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a scenario-file dict (fail-closed)."""
-    if not isinstance(data, dict):
-        raise ConfigError("<root>", "scenario file must contain a JSON object")
-    names = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in names:
-            raise ConfigError(key, "unknown key")
-        if key in _SUB_TYPES:
-            kwargs[key] = _build_dataclass(_SUB_TYPES[key], value, key)
-        elif key == "detectors":
-            if not isinstance(value, list) or len(value) != 4:
-                raise ConfigError("detectors", "expected a list of four objects")
-            kwargs[key] = tuple(
-                _build_dataclass(DetectorParams, det, f"detectors.{i}")
-                for i, det in enumerate(value)
-            )
-        else:
-            kwargs[key] = value
-    try:
-        cfg = ScenarioConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("<root>", str(exc)) from exc
-    return cfg
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Fully resolved config as a scenario-file dict (round-trips)."""
-    d = dataclasses.asdict(cfg)
-    d["detectors"] = [dataclasses.asdict(p) for p in cfg.detectors]
-    return d
-
 
 def _merge_dict(base: dict, override: dict) -> dict:
     out = dict(base)
@@ -159,9 +104,9 @@ def resolve_config(args) -> ScenarioConfig:
         key, raw = item.split("=", 1)
         cfg = config_with(cfg, key, _parse_set_value(raw))
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = config_with(cfg, "seed", args.seed)
     if getattr(args, "slots", None) is not None:
-        cfg = dataclasses.replace(cfg, n_slots=args.slots)
+        cfg = config_with(cfg, "n_slots", args.slots)
     cfg.validate()
     return cfg
 
@@ -170,14 +115,14 @@ def _write_report(path: Path, cfg: ScenarioConfig, metrics: RunMetrics) -> None:
     m = metrics
     dur_ms = cfg.n_slots / cfg.clock_hz * 1e3
 
-    def fmt_ccr(v):
-        return f"{v:.6g}" if v is not None else "no data"
+    def fmt(v, spec):
+        return format(v, spec) if v is not None else "no data"
 
     lines = [
         f"slots simulated      {cfg.n_slots} ({dur_ms:.3f} ms at {cfg.clock_hz:.3g} Hz)",
-        f"QBER                 {m.qber:.4f}",
-        f"CCR pair A (Det1/2)  {fmt_ccr(m.ccr_pair_A)}",
-        f"CCR pair B (Det3/4)  {fmt_ccr(m.ccr_pair_B)}",
+        f"QBER                 {fmt(m.qber, '.4f')}",
+        f"CCR pair A (Det1/2)  {fmt(m.ccr_pair_A, '.6g')}",
+        f"CCR pair B (Det3/4)  {fmt(m.ccr_pair_B, '.6g')}",
         f"CCR estimate         {m.ccr_est:.6g}",
         "count rates (cps)    " + "  ".join(f"Det{i+1}={r:.4g}" for i, r in enumerate(m.count_rates_cps)),
         f"singles              {list(m.singles)}",
@@ -245,9 +190,7 @@ def cmd_sweep_power(args) -> int:
 def cmd_explain(args) -> int:
     cfg = resolve_config(args)
     sys.stdout.write(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
-    eta_mean = sum(d.efficiency for d in cfg.detectors) / 4.0
-    dark_mean = sum(d.dark_prob_per_slot for d in cfg.detectors) / 4.0
-    est = ccr_estimate(cfg.mu, cfg.transmission, eta_mean, dark_mean)
+    est = cfg.ccr_est
     print(f"ccr_est = {est:.6g}", file=sys.stderr)
     try:
         s = secure_fraction(
@@ -255,7 +198,7 @@ def cmd_explain(args) -> int:
                 K_sift=0,
                 mu=cfg.mu,
                 T=cfg.transmission,
-                eta=eta_mean,
+                eta=cfg.mean_efficiency,
                 e=args.qber,
                 f_e=cfg.error_correction_f,
                 CCR_exp=est,

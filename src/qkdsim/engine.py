@@ -43,8 +43,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import os
+import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -56,14 +57,13 @@ from .optics import BandpassFilter, CouplerModel, OpticalChain
 from .protocol import (
     AliceSource,
     ClickLog,
-    KeyRateInputs,
     NoDataError,
     SiftResult,
     attack_fraction_estimate,
     ccr_estimate,
     ccr_measure,
     qber,
-    secure_fraction,
+    secure_key_length,
     sift,
 )
 from .rng import RunStreams, child_seed
@@ -94,14 +94,6 @@ class ConfigError(ValueError):
         self.path = path
 
 
-# The type a config value must have, by field annotation; a bool, though
-# an int to Python, is accepted only where the annotation says bool.
-_FIELD_TYPES = {
-    "int": int, "float": (int, float), "bool": bool, "str": str,
-    "BandpassFilter": BandpassFilter, "CouplerModel": CouplerModel, "AttackConfig": AttackConfig,
-}
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     clock_hz: float = 1e9
@@ -125,22 +117,22 @@ class ScenarioConfig:
     def transmission(self) -> float:
         return 10.0 ** (-self.channel_loss_dB / 10.0)
 
+    @property
+    def mean_efficiency(self) -> float:
+        return sum(d.efficiency for d in self.detectors) / 4.0
+
+    @property
+    def ccr_est(self) -> float:
+        """Honest conditional coincidence estimate mu*T*eta/4 + d at the
+        detectors' mean efficiency and dark probability."""
+        dark_mean = sum(d.dark_prob_per_slot for d in self.detectors) / 4.0
+        return ccr_estimate(self.mu, self.transmission, self.mean_efficiency, dark_mean)
+
     def validate(self) -> None:
-        if not isinstance(self.detectors, tuple) or not all(
-            isinstance(d, DetectorParams) for d in self.detectors
-        ):
-            raise ConfigError("detectors", "expected a list of detector objects")
-        nested = [("", self)] + [(f"detectors.{i}.", d) for i, d in enumerate(self.detectors)]
-        for prefix, obj in nested:
-            for f in dataclasses.fields(obj):
-                value, path = getattr(obj, f.name), prefix + f.name
-                expected = _FIELD_TYPES.get(f.type, object)
-                if not isinstance(value, expected) or (isinstance(value, bool) and f.type != "bool"):
-                    raise ConfigError(path, f"expected {f.type}, got {value!r}")
-                if dataclasses.is_dataclass(value):
-                    nested.append((path + ".", value))
-                elif isinstance(value, float) and not math.isfinite(value):
-                    raise ConfigError(path, "must be finite")
+        # Types, finiteness and __post_init__s by the schema; a plain dict
+        # or list where a config object or tuple belongs fails to round-trip.
+        if config_from_dict(config_to_dict(self)) != self:
+            raise ConfigError("<root>", "sub-configs must be config objects, detectors a tuple")
         if self.clock_hz <= 0.0:
             raise ConfigError("clock_hz", "must be > 0")
         if self.n_slots < 2:
@@ -149,12 +141,16 @@ class ScenarioConfig:
             raise ConfigError("mu", "must be >= 0")
         if self.channel_loss_dB < 0.0:
             raise ConfigError("channel_loss_dB", "must be >= 0 (gain is not modeled)")
+        if self.transmission == 0.0:
+            raise ConfigError("channel_loss_dB", "transmission 10^(-loss/10) underflows to 0")
+        if self.ccr_est >= 1.0:
+            raise ConfigError(
+                "mu", f"honest CCR estimate mu*T*eta/4 + d = {self.ccr_est:.4g} must be below 1"
+            )
         if not 0.0 <= self.phase_flip_prob <= 1.0:
             raise ConfigError("phase_flip_prob", "must be in [0, 1]")
         if self.signal_wavelength_nm <= 0.0:
             raise ConfigError("signal_wavelength_nm", "must be > 0")
-        if len(self.detectors) != 4:
-            raise ConfigError("detectors", "exactly four detectors required")
         if self.alice_mode not in ("random", "static_0pi"):
             raise ConfigError("alice_mode", "must be 'random' or 'static_0pi'")
         if not 0.0 <= self.alarm_fraction_threshold <= 1.0:
@@ -168,9 +164,63 @@ class ScenarioConfig:
         )
 
 
+# --- the config schema: scenario dict <-> ScenarioConfig ------------------
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _build(tp, data, path: str):
+    """Build a value of config type `tp` from scenario-file `data` at `path`.
+
+    Fail-closed, by the dataclasses' field annotations: an object becomes
+    its dataclass (unknown keys are errors), a list of four becomes the
+    detector tuple, and a scalar must have its field's type (an int passes
+    as a float, a bool never as a number; floats must be finite).  A
+    ValueError from a `__post_init__` names the object's path.
+    """
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(data, dict):
+            raise ConfigError(path or "<root>", "expected an object")
+        hints, prefix = _field_types(tp), path + "." if path else ""
+        unknown = [key for key in data if key not in hints]
+        if unknown:
+            raise ConfigError(prefix + unknown[0], "unknown key")
+        kwargs = {key: _build(hints[key], v, prefix + key) for key, v in data.items()}
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(path or "<root>", str(exc)) from exc
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(data, list) or len(data) != 4:
+            raise ConfigError(path, "expected a list of four objects")
+        return tuple(_build(typing.get_args(tp)[0], v, f"{path}.{i}") for i, v in enumerate(data))
+    if not isinstance(data, (int, float) if tp is float else tp) or (
+        isinstance(data, bool) and tp is not bool
+    ):
+        raise ConfigError(path, f"expected {tp.__name__}, got {data!r}")
+    if tp is float and not abs(data) <= sys.float_info.max:  # NaN, inf, or an int beyond float
+        raise ConfigError(path, "must be finite")
+    return data
+
+
+def config_from_dict(data: dict) -> ScenarioConfig:
+    """Build a ScenarioConfig from a scenario-file dict (fail-closed)."""
+    return _build(ScenarioConfig, data, "")
+
+
+def config_to_dict(cfg: ScenarioConfig) -> dict:
+    """Fully resolved config as a scenario-file dict (round-trips)."""
+    return dataclasses.asdict(
+        cfg, dict_factory=lambda kv: {k: list(v) if isinstance(v, tuple) else v for k, v in kv}
+    )
+
+
 @dataclass(frozen=True)
 class RunMetrics:
-    qber: float
+    qber: float | None
     ccr_pair_A: float | None
     ccr_pair_B: float | None
     ccr_est: float
@@ -270,10 +320,7 @@ def compute_metrics(cfg: ScenarioConfig, sres: SiftResult, log: ClickLog) -> Run
     counts = log.counts_per_detector()
     rates = tuple(c / duration_s for c in counts)
 
-    try:
-        e = qber(sres)
-    except NoDataError:
-        e = 0.0  # zero errors out of zero kept bits; K_sift records emptiness
+    e = qber(sres) if len(sres) else None  # undefined on an empty sifted key
 
     ccr_pairs = {}
     for pair in ("A", "B"):
@@ -282,48 +329,23 @@ def compute_metrics(cfg: ScenarioConfig, sres: SiftResult, log: ClickLog) -> Run
         except NoDataError:
             ccr_pairs[pair] = None
 
-    eta_mean = sum(d.efficiency for d in cfg.detectors) / 4.0
-    dark_mean = sum(d.dark_prob_per_slot for d in cfg.detectors) / 4.0
-    est = ccr_estimate(cfg.mu, cfg.transmission, eta_mean, dark_mean)
-
+    est = cfg.ccr_est
     with_data = [v for v in ccr_pairs.values() if v is not None]
     ccr_exp = max(with_data) if with_data else None
     af = attack_fraction_estimate(ccr_exp, est) if ccr_exp is not None else 0.0
 
     K_sift = len(sres)
-    K_sec = 0
-    reason = ""
-    if K_sift > 0:
-        try:
-            inputs = KeyRateInputs(
-                K_sift=K_sift,
-                mu=cfg.mu,
-                T=cfg.transmission,
-                eta=eta_mean,
-                e=e,
-                f_e=cfg.error_correction_f,
-                CCR_exp=ccr_exp if ccr_exp is not None else est,
-                CCR_est=est,
-            )
-            s = secure_fraction(inputs)
-            K_sec = max(0, math.floor(K_sift * s))
-            if s <= 0.0:
-                reason = "secure fraction is not positive"
-        except ValueError as exc:
-            K_sec = 0
-            reason = f"secure-key bound undefined: {exc}"
-    else:
-        reason = "empty sifted key"
-
-    abort = af > cfg.alarm_fraction_threshold or K_sec == 0
-    if abort and af > cfg.alarm_fraction_threshold:
+    K_sec, reason = secure_key_length(
+        K_sift=K_sift, mu=cfg.mu, T=cfg.transmission, eta=cfg.mean_efficiency, e=e,
+        f_e=cfg.error_correction_f, CCR_exp=ccr_exp if ccr_exp is not None else est, CCR_est=est,
+    )
+    alarm = af > cfg.alarm_fraction_threshold
+    if alarm:
         reason = (
             f"attack fraction estimate {af:.4f} exceeds alarm threshold "
             f"{cfg.alarm_fraction_threshold:.4f}"
             + (f"; {reason}" if reason else "")
         )
-    if not abort:
-        reason = ""
 
     return RunMetrics(
         qber=e,
@@ -336,7 +358,7 @@ def compute_metrics(cfg: ScenarioConfig, sres: SiftResult, log: ClickLog) -> Run
         K_sift=K_sift,
         K_sec=K_sec,
         attack_fraction_est=af,
-        abort=abort,
+        abort=alarm or K_sec == 0,
         abort_reason=reason,
     )
 
@@ -344,56 +366,34 @@ def compute_metrics(cfg: ScenarioConfig, sres: SiftResult, log: ClickLog) -> Run
 # --- config field paths (shared by sweeps and the CLI's --set) -----------
 
 
-def _replace_path(obj, parts: list[str], value, path: str):
-    if not parts:
-        return value
-    name = parts[0]
-    if isinstance(obj, tuple):
-        if name == "*":
-            return tuple(_replace_path(item, parts[1:], value, path) for item in obj)
-        try:
-            idx = int(name)
-        except ValueError:
-            raise ConfigError(path, f"expected an index or '*', got {name!r}") from None
-        if not 0 <= idx < len(obj):
-            raise ConfigError(path, f"index {idx} out of range")
-        return tuple(
-            _replace_path(o, parts[1:], value, path) if i == idx else o
-            for i, o in enumerate(obj)
-        )
-    if not dataclasses.is_dataclass(obj):
-        raise ConfigError(path, f"cannot descend into {type(obj).__name__}")
-    names = {f.name for f in dataclasses.fields(obj)}
-    if name not in names:
-        raise ConfigError(path, f"unknown field {name!r}")
-    return dataclasses.replace(
-        obj, **{name: _replace_path(getattr(obj, name), parts[1:], value, path)}
-    )
+def _locate(data: dict, path: str) -> list:
+    """The (container, key) pairs that the dotted `path` names in a
+    scenario dict; `*` fans out over a list."""
+    spots = [({"": data}, "")]
+    for name in path.split("."):
+        nodes, spots = [c[k] for c, k in spots], []
+        for node in nodes:
+            if isinstance(node, list) and name == "*":
+                spots += [(node, i) for i in range(len(node))]
+            elif isinstance(node, list) and name.isdigit() and int(name) < len(node):
+                spots.append((node, int(name)))
+            elif isinstance(node, dict) and name in node:
+                spots.append((node, name))
+            else:
+                raise ConfigError(path, f"unknown field or index {name!r}")
+    return spots
 
 
 def config_with(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
-    """Return a copy of `cfg` with the dotted `path` set to `value`.
+    """Return a copy of `cfg` with the dotted `path` set to `value`, given
+    as in a scenario file, and rebuilt through the schema.
 
     `detectors.*.field` fans out over all four detectors.
     """
-    try:
-        return _replace_path(cfg, path.split("."), value, path)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _get_path(cfg, path: str):
-    obj = cfg
-    for name in path.split("."):
-        if name == "*":
-            obj = obj[0]
-        elif isinstance(obj, tuple):
-            obj = obj[int(name)]
-        else:
-            obj = getattr(obj, name)
-    return obj
+    data = config_to_dict(cfg)
+    for container, key in _locate(data, path):
+        container[key] = value
+    return config_from_dict(data)
 
 
 def run_sweep(base: ScenarioConfig, axis: str, values) -> list[RunMetrics]:
@@ -403,10 +403,8 @@ def run_sweep(base: ScenarioConfig, axis: str, values) -> list[RunMetrics]:
     values = list(values)
     if not values:
         raise ValueError("sweep values must be non-empty")
-    try:
-        current = _get_path(base, axis)
-    except (AttributeError, ValueError, IndexError):
-        raise ConfigError(axis, "unknown sweep axis") from None
+    container, key = _locate(config_to_dict(base), axis)[0]
+    current = container[key]
     if not isinstance(current, (int, float)) or isinstance(current, bool):
         raise ConfigError(axis, "sweep axis must name a numeric field")
 

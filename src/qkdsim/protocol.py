@@ -262,14 +262,21 @@ def secure_fraction(inputs: KeyRateInputs) -> float:
     )
 
 
-def secure_key_length(inputs: KeyRateInputs) -> int:
-    """max(0, floor(K_sift * secure_fraction)); 0 when the bound is
-    violated or outside its domain."""
+def secure_key_length(**fields) -> tuple[int, str]:
+    """Secure key length max(0, floor(K_sift * secure_fraction)) for the
+    `KeyRateInputs` fields, and why it is 0 whenever it is: an empty key,
+    inputs outside the bound's domain, or a fraction too small."""
+    K_sift = fields["K_sift"]
+    if K_sift == 0:
+        return 0, "empty sifted key"
     try:
-        s = secure_fraction(inputs)
-    except ValueError:
-        return 0
-    return max(0, math.floor(inputs.K_sift * s))
+        s = secure_fraction(KeyRateInputs(**fields))
+    except ValueError as exc:
+        return 0, f"secure-key bound undefined: {exc}"
+    if s <= 0.0:
+        return 0, "secure fraction is not positive"
+    length = math.floor(K_sift * s)
+    return length, "" if length else f"secure fraction {s:.4g} of {K_sift} sifted bits floors to 0"
 
 
 def attack_fraction_estimate(CCR_exp: float, CCR_est: float) -> float:

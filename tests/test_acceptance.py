@@ -45,7 +45,7 @@ def test_criterion_1_full_attack_emulation():
     cfg = preset_config("full-attack", n_slots=10_000_000)
     log, m = run_scenario(cfg)
 
-    qber_ok = m.qber == 0.0
+    qber_ok = m.K_sift == 0 and m.qber is None
     ccr_ok = m.ccr_pair_B is not None and m.ccr_pair_B >= 0.99
 
     # Steady state: drop the onset transient (at most 4 clicks, all in the
@@ -63,7 +63,7 @@ def test_criterion_1_full_attack_emulation():
     ok = qber_ok and ccr_ok and rates_ok and transient_ok and m.abort
     report(
         1,
-        "full-attack emulation: QBER 0, pair CCR >= 0.99, rates (0,0,1e5,1e5), abort",
+        "full-attack emulation: no sifted key (QBER null), pair CCR >= 0.99, rates (0,0,1e5,1e5), abort",
         ok,
         f"qber={m.qber} ccr_B={m.ccr_pair_B} rates={[round(r, 1) for r in rates]} abort={m.abort}",
     )
@@ -187,11 +187,9 @@ def test_criterion_5_key_length_arithmetic():
         )
     )
 
-    full_attack_key = secure_key_length(
-        KeyRateInputs(
-            K_sift=10_000, mu=0.2, T=1.585e-2, eta=0.1, e=0.0,
-            CCR_exp=1.0, CCR_est=5.0e-5,
-        )
+    full_attack_key, _ = secure_key_length(
+        K_sift=10_000, mu=0.2, T=1.585e-2, eta=0.1, e=0.0,
+        CCR_exp=1.0, CCR_est=5.0e-5,
     )
     attack_ok = full_attack_key == 0
 

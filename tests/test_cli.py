@@ -3,12 +3,18 @@ import json
 
 import pytest
 
-from qkdsim.cli import PRESETS, build_parser, config_from_dict, config_to_dict, main
-from qkdsim.engine import ScenarioConfig
+from qkdsim.cli import (
+    PRESETS, build_parser, config_from_dict, config_to_dict, main, resolve_config,
+)
+from qkdsim.engine import ConfigError, ScenarioConfig
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def resolved(*argv):
+    return resolve_config(build_parser().parse_args(["explain", *argv]))
 
 
 # SHA-256 of (metrics.json, clicks.csv) for each preset at seed 7 and 2e6
@@ -20,7 +26,7 @@ GOLDEN_DIGESTS = {
         "8e1b70141c08a94087313ee99be641dfb0c1efc9a310f1aa2c35cff2a20d0dc3",
     ),
     "full-attack": (
-        "35473df957f2679306f83388e668be056f88313f13246acbe0947d4767e5ef54",
+        "6fc4dac65cb5146f6b67957f0930d3a611d4b840f9527eb39f4152057d2d37ae",
         "0a5a3dcf55a18928c5acc1c9e67d43ef326941024d434f95d2e9cfe9bcbe77bc",
     ),
     "partial-attack": (
@@ -35,23 +41,37 @@ class TestConfigSchema:
         cfg = config_from_dict({})
         assert cfg == ScenarioConfig()
 
-    def test_unknown_key_rejected_with_path(self):
-        from qkdsim.engine import ConfigError
-
+    def test_unknown_key_rejected_with_path(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             config_from_dict({"attack": {"laser_power": 9000}})
         assert "attack.laser_power" in str(err.value)
+        with pytest.raises(ConfigError, match="^attack.laser_power: "):
+            resolved("--set", 'attack={"laser_power": 9000}')
+        # An object value in --set is read exactly as in a scenario file.
+        scen = tmp_path / "scenario.json"
+        scen.write_text('{"attack": {"enabled": true}}')
+        assert resolved("--set", 'attack={"enabled": true}') == resolved("--config", str(scen))
 
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path, capsys):
         cfg = ScenarioConfig()
         again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
         assert again == cfg
+        # `explain` output is a scenario file that resolves to the same config.
+        for preset in sorted(PRESETS):
+            assert run_cli("explain", "--preset", preset, "--slots", "12345") == 0
+            scen = tmp_path / f"{preset}.json"
+            scen.write_text(capsys.readouterr().out)
+            assert resolved("--config", str(scen)) == resolved(
+                "--preset", preset, "--slots", "12345"
+            )
 
     def test_detectors_must_be_four(self):
-        from qkdsim.engine import ConfigError
-
         with pytest.raises(ConfigError):
             config_from_dict({"detectors": [{}]})
+        with pytest.raises(ConfigError, match="^detectors: "):
+            resolved("--set", "detectors=[{},{},{}]")
+        four = resolved("--set", "detectors=[{},{},{},{}]")
+        assert four == config_from_dict({"detectors": [{}, {}, {}, {}]})
 
 
 class TestRunCommand:
@@ -67,7 +87,7 @@ class TestRunCommand:
             "singles", "coincidences", "K_sift", "K_sec",
             "attack_fraction_est", "abort", "abort_reason",
         }
-        assert metrics["qber"] == 0.0
+        assert metrics["K_sift"] == 0 and metrics["qber"] is None
         assert metrics["ccr_pair_B"] >= 0.99
         assert metrics["abort"] is True
         clicks = (tmp_path / "clicks.csv").read_text().splitlines()
@@ -108,6 +128,7 @@ class TestRunCommand:
             "filter.width_nm=NaN",
             "filter.out_of_band_suppression_dB=Infinity",
             "detectors.*.blind_threshold_photons=NaN",
+            "mu=" + "9" * 400,  # an integer beyond the float range
         ],
     )
     def test_non_finite_value_exits_1(self, tmp_path, capsys, override):
@@ -128,16 +149,42 @@ class TestRunCommand:
             ("detectors.*.dead_time_slots=2.5", "detectors.0.dead_time_slots"),
             ("seed=true", "seed"),
             ("n_slots=1e6", "n_slots"),
+            # Scenario files, nested: the walker names the field.
+            ('{"filter": {"width_nm": "x"}}', "filter.width_nm"),
+            ('{"detectors": [{"efficiency": "x"}, {}, {}, {}]}', "detectors.0.efficiency"),
+            # Honest CCR estimate undefined: above 1, or T underflowing to 0.
+            ("channel_loss_dB=0 mu=2e5", "mu"),
+            ("channel_loss_dB=4000", "channel_loss_dB"),
         ],
     )
     def test_wrongly_typed_value_exits_1(self, tmp_path, capsys, override, path):
-        code = run_cli(
-            "run", "--preset", "normal", "--set", override, "--out", str(tmp_path)
-        )
+        args = ["run", "--preset", "normal", "--out", str(tmp_path)]
+        if override.startswith("{"):
+            (tmp_path / "scenario.json").write_text(override)
+            args += ["--config", str(tmp_path / "scenario.json")]
+        else:
+            for item in override.split():
+                args += ["--set", item]
+        code = run_cli(*args)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--preset normal --slots 1000",  # a positive fraction floors to 0 bits
+            "--slots 10000 --set mu=0 --set detectors.*.dark_prob_per_slot=0",
+            "--slots 100000 --set detectors.*.efficiency=0 --set detectors.*.dark_prob_per_slot=0.01",
+            "--slots 100000 --set phase_flip_prob=0.1",
+            "--preset full-attack --slots 200000",
+        ],
+    )
+    def test_every_abort_says_why(self, tmp_path, argv):
+        assert run_cli("run", *argv.split(), "--out", str(tmp_path)) == 0
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["abort"] is True and metrics["abort_reason"]
 
     def test_set_overrides_and_vacuum(self, tmp_path):
         code = run_cli(

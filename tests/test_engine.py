@@ -227,7 +227,7 @@ class TestHonestOperation:
         )
         _, m = run_scenario(cfg)
         assert m.coincidences == (0, 0)
-        assert m.qber == 0.0
+        assert m.qber in (None, 0.0)  # None when no bit was sifted
 
     def test_vacuum_run(self):
         cfg = small_cfg(
@@ -307,7 +307,7 @@ class TestAttackScenarios:
     def test_full_attack_headline(self):
         cfg = attack_cfg(n_slots=1_000_000)
         log, m = run_scenario(cfg)
-        assert m.qber == 0.0
+        assert m.K_sift == 0 and m.qber is None
         assert m.ccr_pair_B is not None and m.ccr_pair_B >= 0.99
         assert m.coincidences[1] == 100  # one per cycle
         assert m.abort
@@ -348,7 +348,7 @@ class TestAttackScenarios:
         )
         log, m = run_scenario(cfg)
         assert m.coincidences[0] + m.coincidences[1] >= 150
-        assert m.qber == 0.0  # kept singles (rare darks) also agree
+        assert m.qber in (None, 0.0)  # any kept singles (rare darks) also agree
 
     def test_intercept_serves_both_ports(self):
         cfg = small_cfg(

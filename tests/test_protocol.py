@@ -227,13 +227,14 @@ class TestSecureKeyLength:
             K_sift=10_000, mu=0.2, T=1.585e-2, eta=0.1, e=0.0,
             CCR_exp=1.0, CCR_est=5e-5,
         )
-        assert secure_key_length(inputs) == 0
+        assert secure_key_length(**vars(inputs)) == (0, "secure fraction is not positive")
 
     def test_domain_violation_gives_zero_key(self):
         inputs = KeyRateInputs(K_sift=1000, mu=0.2, T=1.585e-2, eta=0.1, e=0.2)
         with pytest.raises(ValueError):
             secure_fraction(inputs)
-        assert secure_key_length(inputs) == 0
+        length, reason = secure_key_length(**vars(inputs))
+        assert length == 0 and reason.startswith("secure-key bound undefined: ")
 
     def test_monotone_in_error_rate(self):
         prev = math.inf
@@ -259,7 +260,8 @@ class TestSecureKeyLength:
     def test_linear_in_sifted_length(self):
         base = KeyRateInputs(K_sift=1000, mu=0.2, T=1.585e-2, eta=0.1, e=0.03)
         doubled = KeyRateInputs(K_sift=2000, mu=0.2, T=1.585e-2, eta=0.1, e=0.03)
-        assert abs(secure_key_length(doubled) - 2 * secure_key_length(base)) <= 1
+        (k2, _), (k1, _) = secure_key_length(**vars(doubled)), secure_key_length(**vars(base))
+        assert abs(k2 - 2 * k1) <= 1
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
