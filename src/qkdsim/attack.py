@@ -17,7 +17,12 @@ cycle produces its fake click regardless of whether the next cycle is
 attacked or passes Alice's genuine light through.
 
 Phases are tracked as pi-parities (phase = pi * bit); every phase Eve
-sends is 0 or pi.
+sends is 0 or pi.  The phase difference an attacked cycle shows is fixed
+in closed form (`AttackPlan.pattern`): pi at its first slot, alternating
+0, pi through the rest of the blinding, constant through the recovery
+window (0 for a port-2 target, pi for port 1) after its first slot, and
+the re-blinding edge -- so the detector stage takes the cycle's bright
+slots as a few runs instead of evaluating them one by one.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optics import ALTERNATING, CONSTANT, PER_SLOT
 from .rng import SlotRng
 
 PORT1, PORT2 = 1, 2
@@ -130,6 +136,14 @@ class AttackPlan:
         else:
             self.targets[served] = eve_outcome_at((np.flatnonzero(served) + 1) * C - 1)
 
+        # Piece offsets in a served cycle: its first slot, the rest of the
+        # blinding, the window's first slot, the rest of the window and the
+        # edge; a one-slot window has no rest.
+        B = C - cfg.recovery_window_slots - 1
+        offsets, first = np.unique([0, 1, B, B + 1, C - 1], return_index=True)
+        kinds = np.array([CONSTANT, ALTERNATING, CONSTANT, CONSTANT, CONSTANT], dtype=np.int8)
+        self._pattern = offsets, kinds[first]
+
         self.entry_parity = np.zeros(self.n_cycles, dtype=np.uint8)
         parity = 0  # parity of the slot preceding the cycle
         for k in range(self.n_cycles):
@@ -166,6 +180,29 @@ class AttackPlan:
             self.targets[k[tail]] == PORT2, p ^ (i < W), p ^ 1 ^ ((np.minimum(i, W - 1) + 1) & 1)
         )
         return parity
+
+    def pattern(self, lo: int, hi: int):
+        """Pieces of [lo, hi) and how the phase difference runs over each
+        (see `optics.OpticalChain.pieces`): (starts, kinds), the first
+        piece starting at `lo`.  A cycle's first slot follows the previous
+        cycle's light, so it is a piece of its own.  In an attacked cycle
+        the difference alternates through the blinding from the second
+        slot; a served cycle's window opens with a slot of its own (its
+        difference depends on the blinding's length), holds one
+        difference for the rest of the window, and ends with the edge.
+        Pass-through cycles carry Alice's phases, drawn per slot."""
+        C = self.cfg.cycle_slots
+        offsets, kinds = self._pattern
+        k = np.arange(lo // C, (hi - 1) // C + 1)
+        starts = k[:, None] * C + offsets
+        kind = np.repeat(kinds[None, :], len(k), axis=0)
+        kind[~self.attacked[k], 1] = PER_SLOT
+        used = (self.targets[k] != 0)[:, None] | (offsets < 2)
+        starts, kind = starts[used], kind[used]
+        inside = (starts > lo) & (starts < hi)
+        at_lo = np.searchsorted(starts, lo, side="right") - 1
+        return (np.concatenate(([lo], starts[inside])),
+                np.concatenate((kind[at_lo:at_lo + 1], kind[inside])))
 
     def channel_fields(self, slots: np.ndarray):
         """(mean, parity, wavelength) at the given slot indices, in closed

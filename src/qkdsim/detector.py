@@ -16,17 +16,22 @@ moves to Blinded silently; any bright slot also cancels a pending dead
 time for the same reason.
 
 `simulate_block` is the detector stage the engine runs, over a chunk of
-slots at a time, without visiting every slot.  It is given the chunk's
-bright slots and, for each piece of constant light, the incident levels
-its slots can show.  The live dim slots lie at least `recovery_slots`
-after a bright one, in intervals given in closed form; a bright slot is a
-rising-edge candidate when more than `recovery_slots` slots separate it
-from the previous bright one.  Live slots are thinned against their
-piece's largest escape probability with one integer comparison of the raw
-variate (`rng.raw_limit`), and only the survivors get their exact
-incident mean and the exact test `uniform < escape`.  The counter-based
-variate of a slot is the same whichever slots are drawn, so the clicks
-equal those of the slot-by-slot reference state machine in the tests.
+slots at a time, without visiting every slot.  Bright light enters it as
+latched spans (`latched_spans`): the first and last bright slot of each
+maximal group of bright slots whose gaps are at most `recovery_slots`,
+built from runs of bright slots that the engine mostly takes from the
+cycle plan in closed form.  The detector is latched inside a span and
+recovered `recovery_slots` after its end, so the live dim slots run from
+there to the next span's start, and a span's first slot is a
+rising-edge candidate when the previous span ended more than
+`recovery_slots` before it.  It is also given, for each piece of constant
+light, the incident levels its slots can show.  Live slots are thinned
+against their piece's largest escape probability with one integer
+comparison of the raw variate (`rng.raw_limit`); the chain is evaluated
+once, at the union of the detectors' survivors, and only those get the
+exact test `uniform < escape`.  The counter-based variate of a slot is
+the same whichever slots are drawn, so the clicks equal those of the
+slot-by-slot reference state machine in the tests.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .protocol import ClickLog
 from .rng import SlotRng, raw_limit
 
 PLANCK_J_S = 6.62607015e-34
@@ -99,49 +105,99 @@ def slot_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return slots
 
 
-def simulate_block(lo: int, hi: int, bright: np.ndarray, piece_starts: np.ndarray,
-                   piece_levels: np.ndarray, incident_at, params: DetectorParams,
-                   state: BlockState, rng: SlotRng) -> np.ndarray:
-    """Run one detector over the slots [lo, hi); return its click slots.
+def latched_spans(first: np.ndarray, last: np.ndarray, step: np.ndarray,
+                  recovery_slots: int):
+    """The latched spans of sorted, disjoint bright runs, run i holding
+    the slots first[i], first[i] + step[i], ..., last[i]: (starts, ends),
+    the first and last slot of each maximal group of bright slots whose
+    gaps are at most `recovery_slots`.  A run whose step exceeds that
+    gives a span per slot."""
+    wide = step > recovery_slots
+    if wide.any():
+        n = np.where(wide, (last - first) // step + 1, 1)
+        run = np.repeat(np.arange(len(first)), n)
+        offset = np.arange(len(run)) - np.repeat(np.cumsum(n) - n, n)
+        first = first[run] + step[run] * offset
+        last = np.where(wide[run], first, last[run])
+    if not len(first):
+        return first, last
+    gap = first[1:] - last[:-1] > recovery_slots
+    return first[np.concatenate(([True], gap))], last[np.concatenate((gap, [True]))]
 
-    Equivalent to stepping the state machine through every slot, given
-    `bright`, the sorted slots whose incident mean reaches the blinding
-    threshold, and the pieces of constant light starting at `piece_starts`
-    (the first at `lo`): every dim slot of piece i sees one of the incident
-    means `piece_levels[i]`.  `incident_at` maps sorted slots to their exact
-    incident mean; it is called only for the slots that survive thinning.
+
+def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray,
+                   piece_levels: np.ndarray, incidents_at, detectors, states,
+                   rngs) -> ClickLog:
+    """Run the detectors over the slots [lo, hi); return their clicks.
+
+    Equivalent to stepping each detector's state machine through every
+    slot, given its latched spans `spans[d]` = (starts, ends) in the block
+    (spans closer than `recovery_slots` to the one before, or to the block
+    before, are joined to it), and the pieces of constant light starting
+    at `piece_starts` (the first at `lo`): every dim slot of piece i sees
+    one of detector d's incident means `piece_levels[d][i]`.
+    `incidents_at` maps sorted slots to the detectors' exact incident
+    means; it is called once, for the slots that survive thinning.
     Candidate clicks are then resolved sequentially for dead time.
     """
-    # Interval j runs from the bright slot prev[j] (the carried one for
-    # j = 0) to the next bright slot (or `hi`).  A dim slot is past
-    # blinding once `recovery_slots` dim slots have elapsed since the last
-    # bright one (counting itself), so interval j is live from prev[j] + R.
-    # A bright slot is a rising-edge candidate only if the detector had
+    # Interval j runs from the end prev[j] of a span (the carried last
+    # bright slot for j = 0) to the start of the next (or `hi`).  A dim
+    # slot is past blinding once `recovery_slots` dim slots have elapsed
+    # since the last bright one (counting itself), so interval j is live
+    # from prev[j] + R.
+    prevs, thinned = [], []
+    for (starts, ends), levels, params, state, rng in zip(
+        spans, piece_levels, detectors, states, rngs
+    ):
+        prev = np.concatenate(([state.last_bright], ends))
+        live = slot_ranges(
+            np.maximum(prev + params.recovery_slots, lo), np.concatenate((starts, [hi]))
+        )
+        # Thinning: a live slot can click only if its variate lies below
+        # its piece's escape bound, an integer test on the raw variate.
+        raw = rng.raw_at(live)
+        keep = np.empty(len(live), dtype=bool)
+        first = np.searchsorted(live, piece_starts).tolist()
+        limits = raw_limit(params.escape_bound(levels)).tolist()
+        for i0, i1, limit in zip(first, first[1:] + [len(live)], limits):
+            if i1 > i0:
+                np.less_equal(raw[i0:i1], limit, out=keep[i0:i1])
+        prevs.append(prev)
+        thinned.append(live[keep])
+
+    # The chain once, at the union of the survivors; `index` finds each
+    # survivor in it.
+    at = np.sort(np.concatenate(thinned))
+    if len(at):
+        at = at[np.concatenate(([True], at[1:] != at[:-1]))]
+        incidents = incidents_at(at)
+        index = np.empty(hi - lo, dtype=np.int64)
+        index[at - lo] = np.arange(len(at))
+    clicks = []
+    for d, ((starts, _), prev, thin, params, state, rng) in enumerate(
+        zip(spans, prevs, thinned, detectors, states, rngs)
+    ):
+        if len(thin):
+            incident = incidents[d][index[thin - lo]]
+            dim = thin[rng.uniform_at(thin) < params.escape(incident)]
+        else:
+            dim = thin
+        clicks.append(_resolve(dim, starts, prev, params, state))
+    return ClickLog.merge(clicks)
+
+
+def _resolve(dim, starts, prev, params: DetectorParams, state: BlockState) -> np.ndarray:
+    """One detector's clicks from its dim candidates and the span starts
+    that are rising-edge candidates, resolved in slot order for dead
+    time; carries its state out of the block."""
+    # A span's start is a rising-edge candidate only if the detector had
     # already recovered at some dim slot before it, i.e. its own interval
-    # held a live slot: a gap of more than R.  Only those gaps matter.
-    R = params.recovery_slots
-    prev = np.append(np.int64(state.last_bright), bright)
-    gap = np.flatnonzero(np.diff(prev) > R)
-    live = slot_ranges(
-        np.maximum(np.append(prev[gap], prev[-1]) + R, lo), np.append(bright[gap], hi)
-    )
-
-    # Thinning: a live slot can click only if its variate lies below its
-    # piece's escape bound, an integer test on the raw variate; only the
-    # survivors get their exact incident mean and escape probability.
-    raw = rng.raw_at(live)
-    keep = np.empty(len(live), dtype=bool)
-    first = np.searchsorted(live, piece_starts).tolist()
-    limits = raw_limit(params.escape_bound(piece_levels)).tolist()
-    for i0, i1, limit in zip(first, first[1:] + [len(live)], limits):
-        np.less_equal(raw[i0:i1], limit, out=keep[i0:i1])
-    thin = live[keep]
-    dim = thin[rng.uniform_at(thin) < params.escape(incident_at(thin))]
-
+    # held a live slot: a gap of more than R to the span before.
+    gap = np.flatnonzero(starts - prev[:-1] > params.recovery_slots)
     # Candidates in slot order, each with the last bright slot before it.
-    cand = np.concatenate((dim, bright[gap]))
+    cand = np.concatenate((dim, starts[gap]))
     order = np.argsort(cand, kind="stable")
-    lbs = np.concatenate((prev[np.searchsorted(bright, dim)], prev[gap]))
+    lbs = np.concatenate((prev[np.searchsorted(starts, dim)], prev[gap]))
 
     clicks = []
     dead_until = state.dead_until
@@ -165,7 +221,6 @@ def simulate_block(lo: int, hi: int, bright: np.ndarray, piece_starts: np.ndarra
             last_dim_click = s
             dead_until = s + params.dead_time_slots
 
-    # Carry state out of the block.
     state.last_bright = int(prev[-1])
     state.dead_until = dead_until
     state.last_dim_click = last_dim_click
@@ -196,9 +251,12 @@ def count_rate_sweep(
             raise ValueError("powers must be >= 0")
         # Disjoint slot ranges keep the points statistically independent.
         lo, hi = j * slots_per_point, (j + 1) * slots_per_point
-        bright = np.arange(lo, hi) if power >= params.blind_threshold_photons else np.arange(0)
-        clicks = simulate_block(lo, hi, bright, np.array([lo]), np.array([[float(power)]]),
-                                lambda s: np.full(len(s), float(power)), params, BlockState(), rng)
+        span = np.array([lo, hi - 1] if power >= params.blind_threshold_photons else [], np.int64)
+        clicks = simulate_block(
+            lo, hi, [(span[:1], span[1:])], np.array([lo]),
+            [[[float(power)]]], lambda s: [np.full(len(s), float(power))], [params],
+            [BlockState()], [rng],
+        )
         results.append((float(power), clock_hz * len(clicks) / slots_per_point))
     return results
 

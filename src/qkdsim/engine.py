@@ -4,16 +4,21 @@ The link is an index-addressed chain (`optics.OpticalChain`): source or
 attack fields (`protocol.AliceSource`, `attack.AttackPlan`) -> band-pass
 filter -> interferometer -> couplers, evaluated at any sorted slots, each
 slot's predecessor gathered rather than carried.  Each chunk of slots is
-split into pieces of constant source light with known incident levels.
-Only pieces whose levels can reach a blinding threshold (in practice, the
-attacked cycles) are evaluated slot by slot, for their bright slots; each
-detector (`detector.simulate_block`) thins its live dim slots against its
-pieces' escape bounds and evaluates the chain only at the survivors.  The
-merged click log is sifted once (`protocol.sift`) and reduced to metrics.
-Only the detectors' state carries from chunk to chunk, and every random
-draw is counter-based (see `rng`), so the click log and metrics are
-byte-identical for a given config regardless of chunking or sweep
-parallelism.
+split into pieces of constant light with known incident levels, at the
+boundaries of the source's phase-difference pattern.  Where that pattern
+is closed form (an attacked cycle, or Alice's 0, pi alternation) and
+free of phase flips, a patterned piece's bright slots are a run of step 1
+or 2, read off its levels; only per-slot pieces with a level at some
+blinding threshold (bright honest light, or attacks with phase flips) are
+evaluated slot by slot.  Each detector's runs are merged into latched
+spans (`detector.latched_spans`), and the detector stage
+(`detector.simulate_block`) thins the live dim slots between spans
+against their pieces' escape bounds and evaluates the chain once, at the
+survivors.  The merged click log is sifted once (`protocol.sift`) and
+reduced to metrics.  Only the detectors' state carries from chunk to
+chunk, and every random draw is counter-based (see `rng`), so the click
+log and metrics are byte-identical for a given config regardless of
+chunking or sweep parallelism.
 
 `CHUNK_SLOTS` is sized for the cache: a 2^16-slot chunk keeps each
 per-slot float64 or int64 temporary at 512 kB, so the numpy passes over
@@ -52,8 +57,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackConfig, AttackPlan, eve_outcome, validate_against_detectors
-from .detector import BlockState, DetectorParams, simulate_block, slot_ranges
-from .optics import BandpassFilter, CouplerModel, OpticalChain
+from .detector import BlockState, DetectorParams, latched_spans, simulate_block, slot_ranges
+from .optics import ALTERNATING, PER_SLOT, BandpassFilter, CouplerModel, OpticalChain, Pieces
 from .protocol import (
     AliceSource,
     ClickLog,
@@ -69,6 +74,7 @@ from .protocol import (
 from .rng import RunStreams, child_seed
 
 CHUNK_SLOTS = 1 << 16
+_INT_LIMIT = 1 << 62
 
 DEFAULT_MU = 0.2
 DEFAULT_LOSS_DB = 18.0
@@ -178,8 +184,9 @@ def _build(tp, data, path: str):
     Fail-closed, by the dataclasses' field annotations: an object becomes
     its dataclass (unknown keys are errors), a list of four becomes the
     detector tuple, and a scalar must have its field's type (an int passes
-    as a float, a bool never as a number; floats must be finite).  A
-    ValueError from a `__post_init__` names the object's path.
+    as a float, a bool never as a number; floats must be finite, ints in
+    [-2^62, 2^62) but for the seed).  A ValueError from a `__post_init__`
+    names the object's path.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(data, dict):
@@ -203,6 +210,10 @@ def _build(tp, data, path: str):
         raise ConfigError(path, f"expected {tp.__name__}, got {data!r}")
     if tp is float and not abs(data) <= sys.float_info.max:  # NaN, inf, or an int beyond float
         raise ConfigError(path, "must be finite")
+    # Slot arithmetic is int64, and a sum of two ints in this range stays
+    # inside it.  The seed is hashed, not added; `validate` checks its range.
+    if tp is int and path != "seed" and not -_INT_LIMIT <= data < _INT_LIMIT:
+        raise ConfigError(path, "must be in [-2^62, 2^62)")
     return data
 
 
@@ -256,6 +267,50 @@ class RunMetrics:
         )
 
 
+def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> list:
+    """Each detector's latched spans (starts, ends) in [pieces.starts[0], hi).
+
+    A patterned piece's bright slots for a detector are read off its two
+    levels: slot start + t shows the difference diff ^ (t & 1) in an
+    alternating piece and diff in a constant one, so they form one run of
+    step 1 (both differences lit) or 2 (one lit), or none.  Per-slot
+    pieces with a level at some threshold are evaluated slot by slot.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    thresholds = np.array([d.blind_threshold_photons for d in detectors])
+    lit = pieces.levels >= thresholds[:, None, None]  # [d, i, difference]
+    if not lit.any():
+        return [(empty, empty)] * len(detectors)
+    starts, _, diff, kind = pieces
+    ends = np.concatenate((starts[1:], [hi]))
+    patterned = kind != PER_SLOT
+
+    bright = [empty] * len(detectors)
+    hot = ~patterned & lit.any(axis=(0, 2))
+    if hot.any():
+        slots = slot_ranges(starts[hot], ends[hot])
+        bright = [slots[inc >= t] for inc, t in zip(chain.incidents_at(slots), thresholds)]
+
+    # Even offsets of a patterned piece show its first difference; odd ones
+    # the other if it alternates, the same if not.
+    i = np.arange(len(starts))
+    even = lit[:, i, diff] & patterned
+    odd = lit[:, i, diff ^ (kind == ALTERNATING)] & patterned
+    first = np.where(even, starts, starts + 1)
+    step = np.where(even & odd, 1, 2)
+    last = ends - 1 - (ends - 1 - first) % step
+    runs = (even | odd) & (first < ends)
+
+    spans = []
+    for d, params in enumerate(detectors):
+        f, l, st, b = first[d][runs[d]], last[d][runs[d]], step[d][runs[d]], bright[d]
+        if len(b):  # merge the explicit bright slots in as runs of one slot
+            at = np.searchsorted(b, f)
+            f, l, st = np.insert(b, at, f), np.insert(b, at, l), np.insert(np.ones_like(b), at, st)
+        spans.append(latched_spans(f, l, st, params.recovery_slots))
+    return spans
+
+
 def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     """Run one scenario and compute its metrics.
 
@@ -271,46 +326,33 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     streams = RunStreams(cfg.seed)
     signal_mean = cfg.mu * cfg.transmission
     alice = AliceSource(cfg.alice_mode, streams.alice, signal_mean, cfg.signal_wavelength_nm)
-    source, segment_slots = alice, cfg.n_slots
+    source = alice
     if cfg.attack.enabled:
         eve = functools.partial(
             eve_outcome, mu=cfg.mu, rng=streams.eve, alice_parity_at=alice.parity_at
         )
         source = AttackPlan(cfg.attack, cfg.n_slots, signal_mean, cfg.signal_wavelength_nm,
                             alice.parity_at, streams.cycles, eve)
-        segment_slots = cfg.attack.cycle_slots
-    chain = OpticalChain(
-        source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip, segment_slots
-    )
+    chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
 
-    thresholds = np.array([[d.blind_threshold_photons] for d in cfg.detectors])
     det_states = [BlockState() for _ in range(4)]
-    det_clicks = [[] for _ in range(4)]
+    logs = []
     lo = 0
     try:
         for lo in range(0, cfg.n_slots, CHUNK_SLOTS):
             hi = min(lo + CHUNK_SLOTS, cfg.n_slots)
-            starts, levels = chain.pieces(lo, hi)
-            # Bright slots can only lie in pieces with a level at some
-            # threshold; only those pieces are evaluated slot by slot.
-            hot = (levels.max(axis=2) >= thresholds).any(axis=0)
-            hot_slots = slot_ranges(starts[hot], np.append(starts[1:], hi)[hot])
-            hot_incidents = chain.incidents_at(hot_slots)
-            for d, (clicks, params, state, rng) in enumerate(
-                zip(det_clicks, cfg.detectors, det_states, streams.detectors)
-            ):
-                bright = hot_slots[hot_incidents[d] >= params.blind_threshold_photons]
-                clicks.append(simulate_block(
-                    lo, hi, bright, starts, levels[d],
-                    lambda slots, d=d: chain.incidents_at(slots)[d], params, state, rng,
-                ))
+            pieces = chain.pieces(lo, hi)
+            logs.append(simulate_block(
+                lo, hi, bright_spans(chain, pieces, hi, cfg.detectors), pieces.starts,
+                pieces.levels, chain.incidents_at, cfg.detectors, det_states, streams.detectors,
+            ))
     except Exception as exc:
         hi = min(lo + CHUNK_SLOTS, cfg.n_slots)
         raise RuntimeError(
             f"scenario failed while simulating slots [{lo}, {hi}): {exc}"
         ) from exc
 
-    log = ClickLog.merge([np.concatenate(c) for c in det_clicks])
+    log = ClickLog.concat(logs)
     return log, compute_metrics(cfg, sift(log, alice.key_bits_at), log)
 
 

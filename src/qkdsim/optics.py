@@ -9,17 +9,26 @@ all of them, so uniform light never builds a per-slot array.
 
 `OpticalChain` is addressed by slot index: it evaluates the source at the
 requested slots and at their predecessors and maps them to the four
-detectors' incident means, with no state carried from slot to slot.  Over
-a segment of constant source light every slot sees one of two levels per
-detector, one per phase difference, so `pieces` gives the levels of a
-whole slot range from two evaluations.
+detectors' incident means, with no state carried from slot to slot.  The
+source also describes its light in closed form (`pattern`): pieces over
+which a slot and its predecessor carry the same light and the phase
+difference is constant, alternates, or is drawn per slot.  Every slot of
+a piece then shows one of two levels per detector, one per phase
+difference, so `pieces` gives the levels of a whole slot range from two
+evaluations, and says which difference each slot of a patterned piece
+shows without evaluating it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+# How the phase difference runs over a piece of slots: the piece's first
+# difference throughout, alternating from it, or drawn per slot.
+CONSTANT, ALTERNATING, PER_SLOT = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -116,20 +125,28 @@ def _prev(values, n: int, missing: np.ndarray):
     return out
 
 
+class Pieces(NamedTuple):
+    """A slot range split into pieces of constant light (see
+    `OpticalChain.pieces`)."""
+
+    starts: np.ndarray  # first slot of each piece, the first at the range's start
+    levels: np.ndarray  # [d, i, dphi]: detector d+1's incident mean at difference 0, pi
+    diff: np.ndarray    # phase difference (0 or 1) of each piece's first slot
+    kind: np.ndarray    # CONSTANT, ALTERNATING or PER_SLOT
+
+
 @dataclass(frozen=True)
 class OpticalChain:
     """Bob's receiver as a map from slot indices to the four detectors'
     incident means: source (`protocol.AliceSource` or `attack.AttackPlan`)
-    -> band-pass filter -> interferometer -> couplers.  The source's mean
-    and wavelength are constant over segments of `segment_slots` slots
-    from slot 0; `flip_rng` draws the phase flips."""
+    -> band-pass filter -> interferometer -> couplers.  `flip_rng` draws
+    the phase flips."""
 
     source: object
     bandpass: BandpassFilter
     coupler: CouplerModel
     phase_flip_prob: float
     flip_rng: object
-    segment_slots: int
 
     def _fields(self, slots: np.ndarray):
         """(mean, mean_prev, dparity, wavelength) at sorted `slots`: the
@@ -161,19 +178,19 @@ class OpticalChain:
             dparity ^= self.flip_rng.uniform_at(slots) < self.phase_flip_prob
         return self._incidents(mean, mean_prev, dparity, lam)
 
-    def pieces(self, lo: int, hi: int):
-        """Split [lo, hi) into pieces of constant light and list the levels
-        each can show: (starts, levels), where levels[d, i] holds detector
-        d+1's incident mean in piece i at a phase difference of 0 and of
-        pi.  Inside a segment a slot and its predecessor carry the same
-        light, so every slot shows one of those two levels; a segment's
-        first slot follows the previous segment's light, so it is a piece
-        of its own."""
-        P = self.segment_slots
-        seg = np.arange(-(-lo // P) * P, hi, P)
-        starts = np.unique(np.concatenate(([lo], seg, seg + 1)))
-        starts = starts[starts < hi]
-        mean, mean_prev, _, lam = self._fields(np.repeat(starts, 2))
-        dparity = np.tile(np.array([0, 1], dtype=np.uint8), len(starts))
-        levels = self._incidents(mean, mean_prev, dparity, lam)
-        return starts, np.reshape(levels, (4, len(starts), 2))
+    def pieces(self, lo: int, hi: int) -> Pieces:
+        """Split [lo, hi) at the source's pattern boundaries.  The source
+        splits wherever a slot's light or its predecessor's changes, so
+        every slot of a piece shows one of the piece's two levels per
+        detector; in a CONSTANT or ALTERNATING piece, slot start + t shows
+        the phase difference diff ^ (t & 1 if alternating).  Phase flips
+        make every piece PER_SLOT."""
+        starts, kind = self.source.pattern(lo, hi)
+        if self.phase_flip_prob > 0.0:
+            kind = np.full_like(kind, PER_SLOT)
+        mean, mean_prev, dparity, lam = (
+            v[:, None] if np.ndim(v) else v for v in self._fields(starts)
+        )
+        levels = self._incidents(mean, mean_prev, np.array([[0, 1]], dtype=np.uint8), lam)
+        levels = [np.broadcast_to(v, (len(starts), 2)) for v in levels]  # if all scalar
+        return Pieces(starts, np.stack(levels), dparity[:, 0], kind)

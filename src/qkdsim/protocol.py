@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .optics import CONSTANT, PER_SLOT
 from .rng import SlotRng
 
 PAIR_DETECTORS = {"A": (1, 2), "B": (3, 4)}
@@ -57,6 +58,15 @@ class AliceSource:
         """(mean, parity, wavelength) at the given slot indices; mean and
         wavelength are the same scalars for every slot."""
         return self.mean, self.parity_at(slots), self.wavelength_nm
+
+    def pattern(self, lo: int, hi: int):
+        """Pieces of [lo, hi) and how the phase difference runs over each
+        (see `optics.OpticalChain.pieces`): per slot for random phases,
+        constant (pi) for the 0, pi alternation.  Slot 0 follows vacuum,
+        so it is a piece of its own."""
+        starts = np.array([lo, 1] if lo == 0 and hi > 1 else [lo], dtype=np.int64)
+        kind = PER_SLOT if self.mode == "random" else CONSTANT
+        return starts, np.full(len(starts), kind, dtype=np.int8)
 
     def parity_at(self, slots):
         s = np.asarray(slots, dtype=np.int64)
@@ -97,6 +107,12 @@ class ClickLog:
         order = np.lexsort((dets, slots))
         return cls(slots=slots[order], detector_ids=dets[order])
 
+    @classmethod
+    def concat(cls, logs) -> "ClickLog":
+        """One log from the logs of consecutive, disjoint slot ranges."""
+        return cls(slots=np.concatenate([log.slots for log in logs]),
+                   detector_ids=np.concatenate([log.detector_ids for log in logs]))
+
     def counts_per_detector(self) -> tuple[int, int, int, int]:
         return tuple(int(np.count_nonzero(self.detector_ids == d)) for d in (1, 2, 3, 4))
 
@@ -104,15 +120,6 @@ class ClickLog:
         pairs = np.column_stack((self.slots, self.detector_ids)).ravel().tolist()
         with open(path, "w", encoding="utf-8") as f:
             f.write("slot,detector_id\n" + ("%d,%d\n" * len(self)) % tuple(pairs))
-
-    @classmethod
-    def read_csv(cls, path) -> "ClickLog":
-        with open(path, encoding="utf-8") as f:
-            rows = [line.split(",") for line in f.read().splitlines()[1:] if line]
-        if not rows:
-            return cls(np.empty(0, np.int64), np.empty(0, np.int8))
-        data = np.asarray(rows, dtype=np.int64)
-        return cls(slots=data[:, 0], detector_ids=data[:, 1].astype(np.int8))
 
 
 @dataclass

@@ -60,6 +60,16 @@ def mzi_ports_by_amplitude(phases, means=None, alpha: float = 1.0):
     return port1, port2
 
 
+def read_clicks_csv(path) -> ClickLog:
+    """A click log read back from `ClickLog.write_csv`'s file."""
+    with open(path, encoding="utf-8") as f:
+        rows = [line.split(",") for line in f.read().splitlines()[1:] if line]
+    if not rows:
+        return ClickLog(np.empty(0, np.int64), np.empty(0, np.int8))
+    data = np.asarray(rows, dtype=np.int64)
+    return ClickLog(slots=data[:, 0], detector_ids=data[:, 1].astype(np.int8))
+
+
 def brute_sift(alice_parity, clicks):
     """Reference sift over (slot, detector) click pairs.
 

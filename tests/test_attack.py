@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim.attack import AttackConfig, AttackPlan, PORT1, PORT2, eve_outcome
 from qkdsim.detector import DetectorParams, photons_to_dBm
-from qkdsim.optics import CouplerModel, mzi_ports
+from qkdsim.optics import ALTERNATING, CONSTANT, CouplerModel, mzi_ports
 from qkdsim.protocol import AliceSource
 from qkdsim.rng import SlotRng
+
+from oracles import channel_fields_dense
 
 SIGNAL = 0.2 * 10.0**-1.8
 
@@ -211,3 +215,44 @@ def test_config_validation():
         AttackConfig(attacked_fraction=1.5)
     with pytest.raises(ValueError):
         AttackConfig(recovery_window_slots=0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    blinding=st.integers(min_value=4, max_value=30),
+    window=st.integers(min_value=1, max_value=9),
+    q=st.sampled_from([0.3, 1.0]),
+    alice_mode=st.sampled_from(["random", "static_0pi"]),
+    intercept=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+    cuts=st.lists(st.integers(min_value=1, max_value=399), max_size=6),
+)
+def test_pattern_describes_every_slot(blinding, window, q, alice_mode, intercept, seed, cuts):
+    """Over each piece of `AttackPlan.pattern`, every slot and its
+    predecessor carry the light of the piece's first slot and its
+    predecessor, and the phase difference (as the dense reference fills
+    it) is constant or alternates as the piece's kind says."""
+    cfg = AttackConfig(
+        enabled=True, mode="intercept_resend" if intercept else "emulation",
+        blinding_slots=blinding, recovery_window_slots=window, attacked_fraction=q,
+    )
+    n = 400
+    alice = AliceSource(alice_mode, SlotRng(seed))
+    eve = functools.partial(eve_outcome, mu=1.0, rng=SlotRng(seed + 1),
+                            alice_parity_at=alice.parity_at)
+    plan = make_plan(cfg, n, alice, SlotRng(seed + 2), eve)
+    mean, parity, lam = channel_fields_dense(plan, 0, n)
+    light = np.column_stack((mean, lam))
+    prev_light = np.vstack(([[0.0, 0.0]], light[:-1]))
+    diff = parity ^ np.concatenate(([0], parity[:-1])).astype(np.uint8)
+    bounds = sorted(set(cuts) | {0, n})
+    for lo, hi in zip(bounds, bounds[1:]):
+        starts, kinds = plan.pattern(lo, hi)
+        assert starts[0] == lo and np.all(np.diff(starts) > 0) and starts[-1] < hi
+        for a, b, kind in zip(starts.tolist(), starts[1:].tolist() + [hi], kinds.tolist()):
+            assert np.all(light[a:b] == light[a]) and np.all(prev_light[a:b] == prev_light[a])
+            t = np.arange(b - a)
+            if kind == CONSTANT:
+                assert np.all(diff[a:b] == diff[a])
+            elif kind == ALTERNATING:
+                assert np.all(diff[a:b] == diff[a] ^ (t & 1))

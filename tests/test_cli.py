@@ -172,6 +172,23 @@ class TestRunCommand:
         assert not (tmp_path / "metrics.json").exists()
 
     @pytest.mark.parametrize(
+        "argv, path",
+        [
+            ("--set attack.enabled=true --set attack.blinding_slots=" + "1" + "0" * 20,
+             "attack.blinding_slots"),
+            ("--set detectors.*.recovery_slots=" + "1" + "0" * 20, "detectors.0.recovery_slots"),
+            ("--set detectors.*.dead_time_slots=" + "1" + "0" * 20, "detectors.0.dead_time_slots"),
+            ("--slots " + "1" + "0" * 20, "n_slots"),
+            (f"--set detectors.*.dead_time_slots={-(2**62) - 1}", "detectors.0.dead_time_slots"),
+        ],
+    )
+    def test_int_beyond_the_slot_arithmetic_exits_1(self, tmp_path, capsys, argv, path):
+        code = run_cli("run", "--preset", "normal", *argv.split(), "--out", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: must be in [-2^62, 2^62)\n"
+        assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             "--preset normal --slots 1000",  # a positive fraction floors to 0 bits

@@ -10,6 +10,7 @@ from qkdsim.detector import (
     DetectorParams,
     count_rate_sweep,
     dBm_to_photons,
+    latched_spans,
     photons_to_dBm,
     simulate_block,
 )
@@ -35,16 +36,19 @@ def make_det(det_id=1, seed=1, **kw):
 
 
 def dense_block(incident, base, par, state, rng):
-    """`simulate_block` over the slots [base, base + len(incident)), given
-    the incident mean of every slot: one piece whose levels are all the
+    """`simulate_block` for one detector over the slots [base, base +
+    len(incident)), given the incident mean of every slot: the latched
+    spans of its bright slots, and one piece whose levels are all the
     means present (plus 0, so an empty block still has one)."""
     incident = np.asarray(incident, dtype=np.float64)
     bright = base + np.flatnonzero(incident >= par.blind_threshold_photons)
+    spans = latched_spans(bright, bright, np.ones_like(bright), par.recovery_slots)
     levels = np.unique(np.append(incident, 0.0))[None, :]
-    return simulate_block(
-        base, base + len(incident), bright, np.array([base]), levels,
-        lambda slots: incident[slots - base], par, state, rng,
+    log = simulate_block(
+        base, base + len(incident), [spans], np.array([base]), [levels],
+        lambda slots: [incident[slots - base]], [par], [state], [rng],
     )
+    return log.slots
 
 
 class TestParamsValidation:

@@ -99,9 +99,32 @@ CHUNKING_CASES = {
         coupler={"ratio_slope_per_nm": 0.04},
         attack={"blind_wavelength_nm": 1561.0},
     ),
+    # Phase flips under attack: every attacked slot is evaluated one by one.
+    "flips-under-attack": lambda: _preset("full-attack", phase_flip_prob=0.3),
+    # The blinding's bright slots are 2 apart, exactly the recovery.
+    "recovery-2": lambda: _preset("full-attack", detectors=[{"recovery_slots": 2}] * 4),
+    # A window shorter than the recovery: the attack fails.
+    "short-window": lambda: _preset(
+        "full-attack", attack={"blinding_slots": 9997, "recovery_window_slots": 3}
+    ),
+    # An odd window with port-1 targets: the window light alternates.
+    "odd-window-intercept": lambda: _preset(
+        "full-attack", alice_mode="random", mu=2.0,
+        attack={"mode": "intercept_resend", "blinding_slots": 9989, "recovery_window_slots": 11},
+    ),
+    # Bright honest light in closed form: the 0, pi alternation, no flips.
+    "static-bright-honest": lambda: _preset(
+        "normal", alice_mode="static_0pi", phase_flip_prob=0.0, channel_loss_dB=0.0,
+        mu=2e5, detectors=[{"efficiency": 1e-5}] * 4,
+    ),
 }
 
+# The recovery window of "short-window" is shorter than the detectors'
+# recovery on purpose; its validation warns.
+_short_window_warns = pytest.mark.filterwarnings("ignore:recovery window of 3 slots")
 
+
+@_short_window_warns
 @pytest.mark.parametrize("case", sorted(CHUNKING_CASES))
 def test_chunk_size_does_not_change_the_run(case, monkeypatch):
     cfg = CHUNKING_CASES[case]()
@@ -132,9 +155,14 @@ ORACLE_CASES = {
     # The thinning bound is near 1 and keeps almost every slot.
     "dark-0.9": lambda: _preset("normal", detectors=[{"dark_prob_per_slot": 0.9}] * 4),
     "mu-0": lambda: _preset("normal", mu=0.0),
+    **{case: CHUNKING_CASES[case] for case in (
+        "flips-under-attack", "recovery-2", "short-window", "odd-window-intercept",
+        "static-bright-honest",
+    )},
 }
 
 
+@_short_window_warns
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_engine_matches_dense_oracle(case):
     cfg = dataclasses.replace(ORACLE_CASES[case](), n_slots=300_000)
@@ -185,12 +213,10 @@ def test_escape_bound_covers_every_slot(
     assume((plan.attacked[:-1] & ~plan.attacked[1:]).any())
     assume((~plan.attacked[:-1] & plan.attacked[1:]).any())
     incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
-    chain = OpticalChain(
-        plan, cfg.filter, cfg.coupler, flip, streams.flip, cfg.attack.cycle_slots
-    )
+    chain = OpticalChain(plan, cfg.filter, cfg.coupler, flip, streams.flip)
     for lo in range(0, cfg.n_slots, chunk):
         hi = min(lo + chunk, cfg.n_slots)
-        starts, levels = chain.pieces(lo, hi)
+        starts, levels, _, _ = chain.pieces(lo, hi)
         piece = np.searchsorted(starts, np.arange(lo, hi), side="right") - 1
         for d, params in enumerate(cfg.detectors):
             exact = incidents[d][lo:hi]
@@ -199,6 +225,69 @@ def test_escape_bound_covers_every_slot(
             assert np.all(bound[dim] >= params.escape(exact[dim]))
             top = levels[d].max(axis=1)[piece]
             assert np.all(top[~dim] >= params.blind_threshold_photons)
+
+
+def _spans_of(bright, recovery):
+    """Latched spans of sorted bright slots, by a scan: a bright slot more
+    than `recovery` after the previous one starts a new span."""
+    starts, ends = [], []
+    for slot in bright.tolist():
+        if ends and slot - ends[-1] <= recovery:
+            ends[-1] = slot
+        else:
+            starts.append(slot)
+            ends.append(slot)
+    return starts, ends
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    blinding=st.integers(min_value=4, max_value=40),
+    window=st.integers(min_value=1, max_value=12),
+    recovery=st.lists(st.integers(min_value=1, max_value=12), min_size=4, max_size=4),
+    mode=st.sampled_from(["emulation", "intercept_resend"]),
+    alice_mode=st.sampled_from(["random", "static_0pi"]),
+    mu=st.sampled_from([0.2, 2.0, 2e5]),
+    q=st.sampled_from([0.0, 0.4, 1.0]),
+    blind=st.sampled_from([3e4, 5e4, 1e6]),
+    detuned=st.booleans(),
+    flip=st.sampled_from([0.0, 0.0, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    chunk=st.integers(min_value=1, max_value=300),
+)
+def test_spans_from_the_cycle_plan_match_explicit_bright_slots(
+    blinding, window, recovery, mode, alice_mode, mu, q, blind, detuned, flip, seed, chunk
+):
+    """At every chunk cut, the spans built from closed-form runs equal
+    the spans of the bright slots that the dense reference finds.  Intercept
+    mode on a random source gives port-1, port-2 and unserved cycles; the
+    detuned coupler lights one detector of a pair only; mu = 2e5 without
+    loss makes honest light bright."""
+    cfg = ScenarioConfig(
+        n_slots=1500,
+        mu=mu,
+        channel_loss_dB=0.0 if mu > 1e3 else 18.0,
+        phase_flip_prob=flip,
+        alice_mode=alice_mode,
+        coupler=CouplerModel(ratio_slope_per_nm=0.04 if detuned else 0.0),
+        detectors=tuple(DetectorParams(recovery_slots=r) for r in recovery),
+        attack=AttackConfig(
+            enabled=True, mode=mode, blind_photons_per_slot=blind, blinding_slots=blinding,
+            recovery_window_slots=window, attacked_fraction=q,
+            blind_wavelength_nm=1561.0 if detuned else 1551.0,
+        ),
+        seed=seed,
+    )
+    streams = RunStreams(seed)
+    plan, alice = plan_and_source(cfg, streams)
+    incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
+    chain = OpticalChain(plan, cfg.filter, cfg.coupler, flip, streams.flip)
+    for lo in range(0, cfg.n_slots, chunk):
+        hi = min(lo + chunk, cfg.n_slots)
+        spans = engine.bright_spans(chain, chain.pieces(lo, hi), hi, cfg.detectors)
+        for (starts, ends), incident, params in zip(spans, incidents, cfg.detectors):
+            bright = lo + np.flatnonzero(incident[lo:hi] >= params.blind_threshold_photons)
+            assert (starts.tolist(), ends.tolist()) == _spans_of(bright, params.recovery_slots)
 
 
 class TestHonestOperation:
@@ -490,6 +579,14 @@ class TestConfigPaths:
         with pytest.raises(ConfigError) as err:
             config_with(small_cfg(), "attack.nope", 1)
         assert "attack.nope" in str(err.value)
+
+    def test_ints_must_fit_the_slot_arithmetic(self):
+        # Checked when the config is built; nothing is run at the bound.
+        assert config_with(small_cfg(), "n_slots", 2**62 - 1).n_slots == 2**62 - 1
+        for value in (2**62, -(2**62) - 1):
+            with pytest.raises(ConfigError, match="detectors.0.recovery_slots"):
+                config_with(small_cfg(), "detectors.*.recovery_slots", value)
+        assert config_with(small_cfg(), "seed", 2**64 - 1).seed == 2**64 - 1
 
     def test_bad_value_propagates_path(self):
         with pytest.raises(ConfigError):

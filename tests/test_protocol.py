@@ -26,6 +26,7 @@ from oracles import (
     SECURE_FRACTION_E032,
     brute_qber,
     brute_sift,
+    read_clicks_csv,
     secure_fraction_reference,
 )
 
@@ -325,7 +326,7 @@ def test_click_log_csv_roundtrip(tmp_path):
     log.write_csv(path)
     text = path.read_text()
     assert text.splitlines()[0] == "slot,detector_id"
-    back = ClickLog.read_csv(path)
+    back = read_clicks_csv(path)
     assert np.array_equal(back.slots, log.slots)
     assert np.array_equal(back.detector_ids, log.detector_ids)
 
