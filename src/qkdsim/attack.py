@@ -17,12 +17,15 @@ cycle produces its fake click regardless of whether the next cycle is
 attacked or passes Alice's genuine light through.
 
 Phases are tracked as pi-parities (phase = pi * bit); every phase Eve
-sends is 0 or pi.  The phase difference an attacked cycle shows is fixed
-in closed form (`AttackPlan.pattern`): pi at its first slot, alternating
-0, pi through the rest of the blinding, constant through the recovery
-window (0 for a port-2 target, pi for port 1) after its first slot, and
-the re-blinding edge -- so the detector stage takes the cycle's bright
-slots as a few runs instead of evaluating them one by one.
+sends is 0 or pi.  Her cycle is one phase program, a table in
+`AttackPlan` with a row per target: the cycle's pieces -- its first slot
+(difference pi), the rest of the blinding (alternating 0, pi), the
+window's first slot, the rest of the window (held at 0 for a port-2
+target, pi for port 1) and the re-blinding edge -- each with its kind and
+first phase difference.  The plan's pieces (`AttackPlan.pattern`), the
+parity of any slot and the parity each cycle is entered with all follow
+from that table, so the detector stage takes a cycle's bright slots as a
+few runs instead of evaluating them one by one.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -42,7 +46,7 @@ PORT1, PORT2 = 1, 2
 @dataclass(frozen=True)
 class AttackConfig:
     enabled: bool = False
-    mode: str = "emulation"  # emulation | intercept_resend
+    mode: Literal["emulation", "intercept_resend"] = "emulation"
     # Stream power at the interferometer input.  Routing sends the full
     # stream to one port whose coupler halves it, so 5e4 here puts 2.5e4 on
     # each detector of the lit pair -- the blinding threshold.
@@ -53,8 +57,6 @@ class AttackConfig:
     blind_wavelength_nm: float = 1551.0
 
     def __post_init__(self):
-        if self.mode not in ("emulation", "intercept_resend"):
-            raise ValueError(f"unknown attack mode {self.mode!r}")
         if self.blind_photons_per_slot <= 0.0:
             raise ValueError("blind_photons_per_slot must be > 0")
         if self.blinding_slots < 4:
@@ -83,6 +85,14 @@ def eve_outcome(slots, mu: float, rng: SlotRng, alice_parity_at) -> np.ndarray:
     return np.where(clicked, np.where(same, PORT1, PORT2), 0).astype(np.int8)
 
 
+def _flips(kind, diff, n):
+    """Parity change over the first `n` slots of a piece whose phase
+    difference starts at `diff` and is held (n * diff) or alternates
+    (the number of pi differences among n, starting from `diff`)."""
+    alt = kind == ALTERNATING
+    return ((n + diff * alt) >> alt) & (alt | diff)
+
+
 class AttackPlan:
     """Per-cycle schedule plus closed-form slot fields for the whole run.
 
@@ -91,113 +101,118 @@ class AttackPlan:
     re-blinding slot aimed at the target pair.  Attacked cycles without an
     Eve outcome at their re-blinding slot (intercept mode on a lossy
     source), and cycles truncated by the end of the run, blind throughout.
-    Pass-through cycles carry Alice's genuine attenuated pulses.
+    Pass-through cycles carry the light of `alice` (`protocol.AliceSource`).
 
-    `alice_parity_at` maps slot indices to Alice's phase parities;
+    Eve's cycle is one phase program, a table with a row per target
+    (0 = unserved, port 1, port 2): the offsets of its pieces (the first
+    slot, the rest of the blinding, the window's first slot, the rest of
+    the window, the edge; an unserved cycle blinds from its second slot to
+    its end), each piece's kind and its first phase difference.  The
+    pieces of `pattern`, the parities of `channel_fields` and each cycle's
+    entry parity (`entry_parity`, the parity of the slot before it) all
+    follow from it.
+
     `eve_outcome_at` maps an array of slot indices to Eve's outcomes there
     (see `eve_outcome`) and is consulted only in intercept mode.
     """
 
-    def __init__(
-        self,
-        cfg: AttackConfig,
-        n_slots: int,
-        signal_mean: float,
-        signal_wavelength_nm: float,
-        alice_parity_at,
-        cycle_rng: SlotRng,
-        eve_outcome_at=None,
-    ):
+    def __init__(self, cfg: AttackConfig, n_slots: int, alice, cycle_rng: SlotRng,
+                 eve_outcome_at=None):
         if cfg.mode == "intercept_resend" and eve_outcome_at is None:
             raise ValueError("intercept_resend needs Eve's measurement outcomes")
         self.cfg = cfg
         self.n_slots = n_slots
-        self.signal_mean = signal_mean
-        self.signal_wavelength_nm = signal_wavelength_nm
-        self.alice_parity_at = alice_parity_at
+        self.alice = alice
         C = cfg.cycle_slots
         self.n_cycles = (n_slots + C - 1) // C
-
-        q = cfg.attacked_fraction
-        if q >= 1.0:
-            attacked = np.ones(self.n_cycles, dtype=bool)
-        elif q <= 0.0:
-            attacked = np.zeros(self.n_cycles, dtype=bool)
-        else:
-            attacked = cycle_rng.uniform_at(np.arange(self.n_cycles, dtype=np.uint64)) < q
-        self.attacked = attacked
+        k = np.arange(self.n_cycles)
+        self.attacked = cycle_rng.uniform_at(k.astype(np.uint64)) < cfg.attacked_fraction
 
         # Target pair of each cycle's re-blinding edge; 0 = unserved.
         self.targets = np.zeros(self.n_cycles, dtype=np.int8)
-        complete = (np.arange(self.n_cycles) + 1) * C <= n_slots
-        served = attacked & complete
+        served = self.attacked & ((k + 1) * C <= n_slots)
         if cfg.mode == "emulation":
             self.targets[served] = PORT2
         else:
             self.targets[served] = eve_outcome_at((np.flatnonzero(served) + 1) * C - 1)
 
-        # Piece offsets in a served cycle: its first slot, the rest of the
-        # blinding, the window's first slot, the rest of the window and the
-        # edge; a one-slot window has no rest.
+        # The phase program.  The first slot flips (difference pi) and the
+        # blinding alternates 0, pi from the second: the {0,0,pi,pi}
+        # repetition.  A served window holds one difference after its first
+        # slot, 0 for a port-2 target (light on port 1), pi for port 1, and
+        # opens on the entry parity flipped (port 2) or on it (port 1), so
+        # its first difference depends on where the blinding ended.  The
+        # edge flips a port-2 target's light back onto port 2 and repeats
+        # a port-1 target's last parity.  A one-slot window has no rest.
         B = C - cfg.recovery_window_slots - 1
-        offsets, first = np.unique([0, 1, B, B + 1, C - 1], return_index=True)
-        kinds = np.array([CONSTANT, ALTERNATING, CONSTANT, CONSTANT, CONSTANT], dtype=np.int8)
-        self._pattern = offsets, kinds[first]
+        opens = ((B - 1) >> 1) & 1  # a port-2 window's first difference
+        # Rows: unserved, port 1, port 2.  Columns: first slot, blinding,
+        # window's first slot, rest of the window, edge; an unserved cycle
+        # blinds to its end, so its last three pieces are empty.
+        self._offsets = np.array([[0, 1, C, C, C],
+                                  [0, 1, B, B + 1, C - 1],
+                                  [0, 1, B, B + 1, C - 1]])
+        self._kinds = np.array([[CONSTANT, ALTERNATING, CONSTANT, CONSTANT, CONSTANT]] * 3, np.int8)
+        self._diffs = np.array([[1, 0, 0, 0, 0],
+                                [1, 0, opens ^ 1, 1, 0],
+                                [1, 0, opens, 0, 1]], np.uint8)
+        lengths = np.diff(self._offsets, axis=1, append=C)
+        self._used = lengths > 0
+        flips = _flips(self._kinds, self._diffs, lengths)
+        after = np.bitwise_xor.accumulate(flips, axis=1)
+        # Parity before each piece's first slot, relative to the entry parity.
+        self._before = (after ^ flips).astype(np.uint8)
+        # The rows laid end to end, C + 1 apart: one search over them finds
+        # each slot's piece.
+        self._row_starts = (self._offsets + (C + 1) * np.arange(3)[:, None]).ravel()
 
-        self.entry_parity = np.zeros(self.n_cycles, dtype=np.uint8)
-        parity = 0  # parity of the slot preceding the cycle
-        for k in range(self.n_cycles):
-            self.entry_parity[k] = parity
-            target = self.targets[k]
-            if not attacked[k]:
-                parity = int(alice_parity_at(min((k + 1) * C, n_slots) - 1))
-            elif target == 0:
-                parity ^= ((C - 1) // 2 + 1) & 1  # blinding throughout
-            elif target == PORT1:
-                parity ^= (cfg.recovery_window_slots & 1) ^ 1
-            # target PORT2: the edge slot's parity equals the entry parity
+        # Entry parities: a cumulative XOR of the attacked cycles' net flips
+        # that restarts after each pass-through cycle from Alice's parity at
+        # its last slot.
+        acc = np.bitwise_xor.accumulate(np.where(self.attacked, after[self.targets, -1], 0))
+        passing = np.flatnonzero(~self.attacked)
+        restart = np.zeros(self.n_cycles + 1, dtype=acc.dtype)
+        restart[passing + 1] = acc[passing] ^ alice.parity_at(
+            np.minimum((passing + 1) * C, n_slots) - 1)
+        exit_parity = acc ^ restart[np.maximum.accumulate(np.where(self.attacked, 0, k + 1))]
+        self.entry_parity = np.concatenate(([0], exit_parity[:-1])).astype(np.uint8)
 
-    def _attacked_parity(self, slots: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Parity at `slots` of the attacked cycles `k` they lie in."""
-        C = self.cfg.cycle_slots
-        W = self.cfg.recovery_window_slots
-        j = slots - k * C
-        # Blinding, entered with the parity of the preceding slot: the first
-        # slot flips (difference pi), then differences alternate 0, pi -- the
-        # {0,0,pi,pi} repetition.  Only bit 0 matters, so uint8 wrap is fine.
-        parity = (j >> 1).astype(np.uint8)
-        parity += self.entry_parity[k] + 1
-        parity &= 1
-        # Window offset i < W, then the re-blinding edge at i = W.  A port-2
-        # target holds the phase through the window (light on port 1) and
-        # flips at the edge; a port-1 target alternates through the window
-        # (light on port 2) and repeats at the edge.
-        tail = np.flatnonzero(j >= C - W - 1)
-        tail = tail[self.targets[k[tail]] != 0]
-        i = j[tail] - (C - W - 1)
-        p = self.entry_parity[k[tail]]
-        parity[tail] = np.where(
-            self.targets[k[tail]] == PORT2, p ^ (i < W), p ^ 1 ^ ((np.minimum(i, W - 1) + 1) & 1)
-        )
+    def _piece_parity(self, j, entry, i):
+        """Parity at cycle offsets `j` in the program's pieces `i` (indices
+        into the flattened table) of cycles entered with parity `entry`."""
+        offset, kind, diff, before = (
+            a.ravel()[i] for a in (self._offsets, self._kinds, self._diffs, self._before))
+        parity = _flips(kind, diff, j - (offset - 1)).astype(np.uint8)
+        parity ^= entry ^ before
+        return parity
+
+    def _attacked_parity(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Parity at offsets `j` of cycles `k`, were they attacked.  Most
+        slots lie in the blinding, so its piece is evaluated everywhere
+        (one slot back it gives the first slot's parity too), and the
+        table is searched only for slots from a window onward."""
+        entry = self.entry_parity[k]
+        parity = self._piece_parity(j, entry, 1)
+        late = np.flatnonzero(j >= self._offsets[PORT2, 2])
+        row = self.targets[k[late]] * np.int64(self.cfg.cycle_slots + 1)
+        i = np.searchsorted(self._row_starts, row + j[late], side="right") - 1
+        parity[late] = self._piece_parity(j[late], entry[late], i)
         return parity
 
     def pattern(self, lo: int, hi: int):
         """Pieces of [lo, hi) and how the phase difference runs over each
         (see `optics.OpticalChain.pieces`): (starts, kinds), the first
-        piece starting at `lo`.  A cycle's first slot follows the previous
-        cycle's light, so it is a piece of its own.  In an attacked cycle
-        the difference alternates through the blinding from the second
-        slot; a served cycle's window opens with a slot of its own (its
-        difference depends on the blinding's length), holds one
-        difference for the rest of the window, and ends with the edge.
-        Pass-through cycles carry Alice's phases, drawn per slot."""
+        piece starting at `lo`.  An attacked cycle's pieces are those of
+        its row of the phase program; a pass-through cycle's first slot
+        follows the previous cycle's light, so it is a piece of its own,
+        and the rest carries Alice's phases, drawn per slot."""
         C = self.cfg.cycle_slots
-        offsets, kinds = self._pattern
         k = np.arange(lo // C, (hi - 1) // C + 1)
-        starts = k[:, None] * C + offsets
-        kind = np.repeat(kinds[None, :], len(k), axis=0)
+        t = self.targets[k]
+        starts = k[:, None] * C + self._offsets[t]
+        kind = self._kinds[t]
         kind[~self.attacked[k], 1] = PER_SLOT
-        used = (self.targets[k] != 0)[:, None] | (offsets < 2)
+        used = self._used[t]
         starts, kind = starts[used], kind[used]
         inside = (starts > lo) & (starts < hi)
         at_lo = np.searchsorted(starts, lo, side="right") - 1
@@ -205,24 +220,17 @@ class AttackPlan:
                 np.concatenate((kind[at_lo:at_lo + 1], kind[inside])))
 
     def channel_fields(self, slots: np.ndarray):
-        """(mean, parity, wavelength) at the given slot indices, in closed
-        form from the cycle schedule.  Mean and wavelength are constant over
-        each cycle, and are scalars when all slots lie in attacked cycles or
-        all in pass-through ones."""
+        """(mean, parity, wavelength) arrays at the given slot indices, in
+        closed form from the cycle schedule; Alice's source is consulted at
+        the pass-through slots only."""
         cfg = self.cfg
         k = slots // cfg.cycle_slots
         attacked = self.attacked[k]
-        if attacked.all():
-            parity = self._attacked_parity(slots, k)
-            return cfg.blind_photons_per_slot, parity, cfg.blind_wavelength_nm
-        if not attacked.any():
-            return self.signal_mean, self.alice_parity_at(slots), self.signal_wavelength_nm
-        mean = np.where(attacked, cfg.blind_photons_per_slot, self.signal_mean)
-        lam = np.where(attacked, cfg.blind_wavelength_nm, self.signal_wavelength_nm)
-        passing = ~attacked
-        parity = np.empty(len(slots), dtype=np.uint8)
-        parity[passing] = self.alice_parity_at(slots[passing])
-        parity[attacked] = self._attacked_parity(slots[attacked], k[attacked])
+        parity = self._attacked_parity(slots - k * cfg.cycle_slots, k)
+        passing = np.flatnonzero(~attacked)
+        parity[passing] = self.alice.parity_at(slots[passing])
+        mean = np.where(attacked, cfg.blind_photons_per_slot, self.alice.mean)
+        lam = np.where(attacked, cfg.blind_wavelength_nm, self.alice.wavelength_nm)
         return mean, parity, lam
 
 

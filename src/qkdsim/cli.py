@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -156,11 +157,16 @@ def cmd_sweep_power(args) -> int:
         raise ConfigError("--min-dbm/--max-dbm", "min must be below max")
     if args.points < 3:
         raise ConfigError("--points", "need at least 3 points")
+    if args.slots_per_point < 10**4:
+        raise ConfigError("--slots-per-point", "must be >= 1e4")
     step = (args.max_dBm - args.min_dBm) / (args.points - 1)
     dbms = [args.min_dBm + i * step for i in range(args.points)]
-    powers = [
-        dBm_to_photons(p, cfg.clock_hz, cfg.signal_wavelength_nm) for p in dbms
-    ]
+    try:
+        powers = [dBm_to_photons(p, cfg.clock_hz, cfg.signal_wavelength_nm) for p in dbms]
+    except OverflowError:
+        powers = [math.inf]
+    if not all(map(math.isfinite, dbms + powers)):
+        raise ConfigError("--min-dbm/--max-dbm", "powers must be finite, in dBm and in photons")
     rows = []
     for det_id in (1, 2, 3, 4):
         rng = SlotRng(derive_seed(cfg.seed, "power-sweep", det_id))

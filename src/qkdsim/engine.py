@@ -3,9 +3,9 @@
 The link is an index-addressed chain (`optics.OpticalChain`): source or
 attack fields (`protocol.AliceSource`, `attack.AttackPlan`) -> band-pass
 filter -> interferometer -> couplers, evaluated at any sorted slots, each
-slot's predecessor gathered rather than carried.  Each chunk of slots is
-split into pieces of constant light with known incident levels, at the
-boundaries of the source's phase-difference pattern.  Where that pattern
+slot's predecessor evaluated with it rather than carried.  Each chunk of
+slots is split into pieces of constant light with known incident levels,
+at the boundaries of the source's phase-difference pattern.  Where that pattern
 is closed form (an attacked cycle, or Alice's 0, pi alternation) and
 free of phase flips, a patterned piece's bright slots are a run of step 1
 or 2, read off its levels; only per-slot pieces with a level at some
@@ -114,7 +114,7 @@ class ScenarioConfig:
         default_factory=lambda: tuple(default_detector() for _ in range(4))
     )
     attack: AttackConfig = field(default_factory=AttackConfig)
-    alice_mode: str = "random"
+    alice_mode: typing.Literal["random", "static_0pi"] = "random"
     seed: int = 20260808
     error_correction_f: float = 1.16
     alarm_fraction_threshold: float = 0.05
@@ -157,8 +157,6 @@ class ScenarioConfig:
             raise ConfigError("phase_flip_prob", "must be in [0, 1]")
         if self.signal_wavelength_nm <= 0.0:
             raise ConfigError("signal_wavelength_nm", "must be > 0")
-        if self.alice_mode not in ("random", "static_0pi"):
-            raise ConfigError("alice_mode", "must be 'random' or 'static_0pi'")
         if not 0.0 <= self.alarm_fraction_threshold <= 1.0:
             raise ConfigError("alarm_fraction_threshold", "must be in [0, 1]")
         if self.error_correction_f < 1.0:
@@ -183,10 +181,11 @@ def _build(tp, data, path: str):
 
     Fail-closed, by the dataclasses' field annotations: an object becomes
     its dataclass (unknown keys are errors), a list of four becomes the
-    detector tuple, and a scalar must have its field's type (an int passes
-    as a float, a bool never as a number; floats must be finite, ints in
-    [-2^62, 2^62) but for the seed).  A ValueError from a `__post_init__`
-    names the object's path.
+    detector tuple, a `Literal` field takes one of its strings, and a
+    scalar must have its field's type (an int passes as a float, a bool
+    never as a number; floats must be finite, ints in [-2^62, 2^62) but
+    for the seed).  A ValueError from a `__post_init__` names the object's
+    path.
     """
     if dataclasses.is_dataclass(tp):
         if not isinstance(data, dict):
@@ -200,6 +199,11 @@ def _build(tp, data, path: str):
             return tp(**kwargs)
         except ValueError as exc:
             raise ConfigError(path or "<root>", str(exc)) from exc
+    if typing.get_origin(tp) is typing.Literal:
+        if data not in typing.get_args(tp):
+            choices = ", ".join(map(repr, typing.get_args(tp)))
+            raise ConfigError(path, f"expected one of {choices}, got {data!r}")
+        return data
     if typing.get_origin(tp) is tuple:
         if not isinstance(data, list) or len(data) != 4:
             raise ConfigError(path, "expected a list of four objects")
@@ -324,15 +328,14 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     # threshold to twice that): one untouched 4 MB block keeps them on heap.
     np.empty(1 << 19)
     streams = RunStreams(cfg.seed)
-    signal_mean = cfg.mu * cfg.transmission
-    alice = AliceSource(cfg.alice_mode, streams.alice, signal_mean, cfg.signal_wavelength_nm)
+    alice = AliceSource(cfg.alice_mode, streams.alice, cfg.mu * cfg.transmission,
+                        cfg.signal_wavelength_nm)
     source = alice
     if cfg.attack.enabled:
         eve = functools.partial(
             eve_outcome, mu=cfg.mu, rng=streams.eve, alice_parity_at=alice.parity_at
         )
-        source = AttackPlan(cfg.attack, cfg.n_slots, signal_mean, cfg.signal_wavelength_nm,
-                            alice.parity_at, streams.cycles, eve)
+        source = AttackPlan(cfg.attack, cfg.n_slots, alice, streams.cycles, eve)
     chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
 
     det_states = [BlockState() for _ in range(4)]

@@ -2,21 +2,21 @@
 interferometer, and the wavelength-dependent output couplers, and the chain
 they form in front of the detectors.
 
-Each stage maps arrays over slots.  All light is carried as a mean photon
-number per slot; Poisson statistics enter only at the detectors.  A mean or
-wavelength argument is either one value per slot or a single value for
-all of them, so uniform light never builds a per-slot array.
+Each stage maps arrays over slots, and every source gives its mean,
+phase parity and wavelength as one value per slot.  All light is carried
+as a mean photon number per slot; Poisson statistics enter only at the
+detectors.
 
-`OpticalChain` is addressed by slot index: it evaluates the source at the
-requested slots and at their predecessors and maps them to the four
-detectors' incident means, with no state carried from slot to slot.  The
-source also describes its light in closed form (`pattern`): pieces over
-which a slot and its predecessor carry the same light and the phase
-difference is constant, alternates, or is drawn per slot.  Every slot of
-a piece then shows one of two levels per detector, one per phase
-difference, so `pieces` gives the levels of a whole slot range from two
-evaluations, and says which difference each slot of a patterned piece
-shows without evaluating it.
+`OpticalChain` is addressed by slot index: it evaluates the source once,
+at the requested slots and their predecessors (slot 0's is vacuum), and
+maps them to the four detectors' incident means, with no state carried
+from slot to slot.  The source also describes its light in closed form
+(`pattern`): pieces over which a slot and its predecessor carry the same
+light and the phase difference is constant, alternates, or is drawn per
+slot.  Every slot of a piece then shows one of two levels per detector,
+one per phase difference, so `pieces` gives the levels of a whole slot
+range from two evaluations, and says which difference each slot of a
+patterned piece shows without evaluating it.
 """
 
 from __future__ import annotations
@@ -114,17 +114,6 @@ def mzi_ports(mean, cos_dphi, mean_prev):
     return np.maximum((base + cross) * 0.25, 0.0), np.maximum((base - cross) * 0.25, 0.0)
 
 
-def _prev(values, n: int, missing: np.ndarray):
-    """Each requested slot's predecessor value: the previous slot's where
-    that is the predecessor, else the extra one evaluated for it."""
-    if not np.ndim(values):
-        return values
-    out = np.empty(n, dtype=values.dtype)
-    out[1:] = values[: n - 1]
-    out[missing] = values[n:]
-    return out
-
-
 class Pieces(NamedTuple):
     """A slot range split into pieces of constant light (see
     `OpticalChain.pieces`)."""
@@ -149,23 +138,17 @@ class OpticalChain:
     flip_rng: object
 
     def _fields(self, slots: np.ndarray):
-        """(mean, mean_prev, dparity, wavelength) at sorted `slots`: the
-        filtered mean of each slot and of its predecessor, and their phase
-        parity difference before phase flips.  The source is evaluated
-        once, at the slots and at those predecessors not among them."""
+        """(mean, mean_prev, dparity, wavelength) at `slots`: the filtered
+        mean of each slot and of its predecessor, and their phase parity
+        difference before phase flips.  The source is evaluated once, at
+        the slots and their predecessors; slot 0 interferes with vacuum."""
         n = len(slots)
-        missing = np.ones(n, dtype=bool)
-        missing[1:] = slots[1:] - 1 != slots[:-1]
-        at = np.concatenate((slots, np.maximum(slots[missing] - 1, 0)))
-        mean, parity, lam = self.source.channel_fields(at)
+        after_vacuum = slots == 0
+        mean, parity, lam = self.source.channel_fields(
+            np.concatenate((slots, slots - 1 + after_vacuum)))
         mean = self.bandpass.apply(mean, lam)
-        mean_prev = _prev(mean, n, missing)
-        parity_prev = _prev(parity, n, missing)
-        if n and slots[0] == 0:  # slot 0 interferes with vacuum
-            mean_prev = np.array(np.broadcast_to(mean_prev, n))
-            mean_prev[0] = parity_prev[0] = 0
-        mean, lam = (v[:n] if np.ndim(v) else v for v in (mean, lam))
-        return mean, mean_prev, parity[:n] ^ parity_prev, lam
+        return (mean[:n], np.where(after_vacuum, 0.0, mean[n:]),
+                parity[:n] ^ np.where(after_vacuum, 0, parity[n:]), lam[:n])
 
     def _incidents(self, mean, mean_prev, dparity, lam):
         port1, port2 = mzi_ports(mean, 1.0 - 2.0 * dparity, mean_prev)
@@ -188,9 +171,6 @@ class OpticalChain:
         starts, kind = self.source.pattern(lo, hi)
         if self.phase_flip_prob > 0.0:
             kind = np.full_like(kind, PER_SLOT)
-        mean, mean_prev, dparity, lam = (
-            v[:, None] if np.ndim(v) else v for v in self._fields(starts)
-        )
+        mean, mean_prev, dparity, lam = (v[:, None] for v in self._fields(starts))
         levels = self._incidents(mean, mean_prev, np.array([[0, 1]], dtype=np.uint8), lam)
-        levels = [np.broadcast_to(v, (len(starts), 2)) for v in levels]  # if all scalar
         return Pieces(starts, np.stack(levels), dparity[:, 0], kind)

@@ -55,9 +55,9 @@ class AliceSource:
         self.wavelength_nm = wavelength_nm
 
     def channel_fields(self, slots):
-        """(mean, parity, wavelength) at the given slot indices; mean and
-        wavelength are the same scalars for every slot."""
-        return self.mean, self.parity_at(slots), self.wavelength_nm
+        """(mean, parity, wavelength) arrays at the given slot indices."""
+        n = len(slots)
+        return np.full(n, self.mean), self.parity_at(slots), np.full(n, self.wavelength_nm)
 
     def pattern(self, lo: int, hi: int):
         """Pieces of [lo, hi) and how the phase difference runs over each

@@ -255,8 +255,30 @@ def _attacked_cycle_parity(plan, j, p0, target):
     return parity
 
 
-def channel_fields_dense(plan, lo: int, hi: int):
-    """(mean, parity, wavelength) arrays for every slot of [lo, hi)."""
+def entry_parity_reference(plan):
+    """Each cycle's entry parity (that of the slot before it), cycle by
+    cycle: the parity of the previous cycle's last slot, from the attacked
+    cycle's per-slot parity above or from Alice."""
+    C = plan.cfg.cycle_slots
+    entry = np.zeros(plan.n_cycles, dtype=np.uint8)
+    parity = 0
+    for k in range(plan.n_cycles):
+        entry[k] = parity
+        last = min((k + 1) * C, plan.n_slots) - 1
+        if plan.attacked[k]:
+            j = np.array([last - k * C])
+            parity = int(_attacked_cycle_parity(plan, j, parity, int(plan.targets[k]))[0])
+        else:
+            parity = int(plan.alice.parity_at(last))
+    return entry
+
+
+def channel_fields_dense(plan, lo: int, hi: int, entry=None):
+    """(mean, parity, wavelength) arrays for every slot of [lo, hi), the
+    cycles entered with parities `entry` (by default
+    `entry_parity_reference(plan)`)."""
+    if entry is None:
+        entry = entry_parity_reference(plan)
     n = hi - lo
     mean = np.empty(n, dtype=np.float64)
     parity = np.empty(n, dtype=np.uint8)
@@ -272,13 +294,11 @@ def channel_fields_dense(plan, lo: int, hi: int):
             j = np.arange(pos - start, end - start, dtype=np.int64)
             mean[seg] = plan.cfg.blind_photons_per_slot
             lam[seg] = plan.cfg.blind_wavelength_nm
-            parity[seg] = _attacked_cycle_parity(
-                plan, j, int(plan.entry_parity[k]), int(plan.targets[k])
-            )
+            parity[seg] = _attacked_cycle_parity(plan, j, int(entry[k]), int(plan.targets[k]))
         else:
-            mean[seg] = plan.signal_mean
-            lam[seg] = plan.signal_wavelength_nm
-            parity[seg] = plan.alice_parity_at(np.arange(pos, end, dtype=np.int64))
+            mean[seg] = plan.alice.mean
+            lam[seg] = plan.alice.wavelength_nm
+            parity[seg] = plan.alice.parity_at(np.arange(pos, end, dtype=np.int64))
         pos = end
         k += 1
     return mean, parity, lam
@@ -375,16 +395,14 @@ def incidents_dense(cfg, plan, alice, streams, lo, hi, prev_mean, prev_parity):
 
 def plan_and_source(cfg, streams):
     """The run's attack plan (None without an attack) and Alice's source."""
-    signal_mean = cfg.mu * cfg.transmission
-    alice = AliceSource(cfg.alice_mode, streams.alice, signal_mean, cfg.signal_wavelength_nm)
+    alice = AliceSource(cfg.alice_mode, streams.alice, cfg.mu * cfg.transmission,
+                        cfg.signal_wavelength_nm)
     if not cfg.attack.enabled:
         return None, alice
     eve = functools.partial(
         eve_outcome, mu=cfg.mu, rng=streams.eve, alice_parity_at=alice.parity_at
     )
-    plan = AttackPlan(cfg.attack, cfg.n_slots, signal_mean, cfg.signal_wavelength_nm,
-                      alice.parity_at, streams.cycles, eve)
-    return plan, alice
+    return AttackPlan(cfg.attack, cfg.n_slots, alice, streams.cycles, eve), alice
 
 
 def run_scenario_dense(cfg):

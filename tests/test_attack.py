@@ -8,27 +8,24 @@ from hypothesis import strategies as st
 
 from qkdsim.attack import AttackConfig, AttackPlan, PORT1, PORT2, eve_outcome
 from qkdsim.detector import DetectorParams, photons_to_dBm
+from qkdsim.engine import ConfigError, ScenarioConfig, config_with
 from qkdsim.optics import ALTERNATING, CONSTANT, CouplerModel, mzi_ports
 from qkdsim.protocol import AliceSource
 from qkdsim.rng import SlotRng
 
-from oracles import channel_fields_dense
+from oracles import channel_fields_dense, entry_parity_reference
 
 SIGNAL = 0.2 * 10.0**-1.8
 
 
 def make_plan(cfg, n, alice=None, cycle_rng=None, eve_outcome_at=None):
-    alice = alice or AliceSource("static_0pi", SlotRng(1))
-    return AttackPlan(
-        cfg, n, SIGNAL, 1551.0, alice.parity_at, cycle_rng or SlotRng(0), eve_outcome_at
-    )
+    alice = alice or AliceSource("static_0pi", SlotRng(1), SIGNAL)
+    return AttackPlan(cfg, n, alice, cycle_rng or SlotRng(0), eve_outcome_at)
 
 
 def fields(plan, lo, hi):
-    """A plan's (mean, parity, wavelength) at every slot of [lo, hi), as
-    arrays."""
-    mean, parity, lam = plan.channel_fields(np.arange(lo, hi))
-    return np.broadcast_to(mean, hi - lo), parity, np.broadcast_to(lam, hi - lo)
+    """A plan's (mean, parity, wavelength) at every slot of [lo, hi)."""
+    return plan.channel_fields(np.arange(lo, hi))
 
 
 def plan_ports(plan, mean_prev=0.0):
@@ -144,7 +141,7 @@ class TestAssembleProgram:
     def test_pass_through_cycles_carry_attenuated_signal(self):
         cfg = AttackConfig(enabled=True, mode="emulation", attacked_fraction=0.5)
         n = 20 * cfg.cycle_slots
-        alice = AliceSource("static_0pi", SlotRng(1))
+        alice = AliceSource("static_0pi", SlotRng(1), SIGNAL)
         mean, parity, _ = fields(make_plan(cfg, n, alice, SlotRng(77)), 0, n)
         assert set(np.unique(mean)) == {SIGNAL, cfg.blind_photons_per_slot}
         # pass-through slots carry Alice's phases
@@ -155,7 +152,7 @@ class TestAssembleProgram:
     def test_zero_fraction_is_pure_passthrough(self):
         cfg = AttackConfig(enabled=True, mode="emulation", attacked_fraction=0.0)
         n = 3 * cfg.cycle_slots
-        alice = AliceSource("random", SlotRng(4))
+        alice = AliceSource("random", SlotRng(4), SIGNAL)
         mean, parity, lam = fields(make_plan(cfg, n, alice), 0, n)
         assert np.all(mean == SIGNAL) and np.all(lam == 1551.0)
         assert np.array_equal(parity, alice.parity_at(np.arange(n)))
@@ -209,8 +206,8 @@ def test_plan_truncated_final_cycle_blinds_throughout():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AttackConfig(mode="loud")
+    with pytest.raises(ConfigError, match="^attack.mode: "):
+        config_with(ScenarioConfig(), "attack.mode", "loud")
     with pytest.raises(ValueError):
         AttackConfig(attacked_fraction=1.5)
     with pytest.raises(ValueError):
@@ -256,3 +253,36 @@ def test_pattern_describes_every_slot(blinding, window, q, alice_mode, intercept
                 assert np.all(diff[a:b] == diff[a])
             elif kind == ALTERNATING:
                 assert np.all(diff[a:b] == diff[a] ^ (t & 1))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    blinding=st.integers(min_value=4, max_value=30),
+    window=st.integers(min_value=1, max_value=9),
+    q=st.sampled_from([0.0, 0.3, 1.0]),
+    alice_mode=st.sampled_from(["random", "static_0pi"]),
+    intercept=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+    cycles=st.integers(min_value=1, max_value=30),
+    extra=st.integers(min_value=1, max_value=40),
+)
+def test_entry_parity_matches_the_cycle_by_cycle_reference(
+    blinding, window, q, alice_mode, intercept, seed, cycles, extra
+):
+    """The plan's entry parities, and the parities it gives every slot,
+    equal a cycle-by-cycle walk: an attacked cycle's last parity from the
+    dense reference, a pass-through cycle's from Alice.  The run ends
+    inside a cycle."""
+    cfg = AttackConfig(
+        enabled=True, mode="intercept_resend" if intercept else "emulation",
+        blinding_slots=blinding, recovery_window_slots=window, attacked_fraction=q,
+    )
+    n = cycles * cfg.cycle_slots + 1 + extra % (cfg.cycle_slots - 1)
+    alice = AliceSource(alice_mode, SlotRng(seed))
+    eve = functools.partial(eve_outcome, mu=1.0, rng=SlotRng(seed + 1),
+                            alice_parity_at=alice.parity_at)
+    plan = make_plan(cfg, n, alice, SlotRng(seed + 2), eve)
+    entry = entry_parity_reference(plan)
+    assert np.array_equal(plan.entry_parity, entry)
+    _, parity, _ = plan.channel_fields(np.arange(n))
+    assert np.array_equal(parity, channel_fields_dense(plan, 0, n, entry)[1])

@@ -52,6 +52,15 @@ class TestConfigSchema:
         scen.write_text('{"attack": {"enabled": true}}')
         assert resolved("--set", 'attack={"enabled": true}') == resolved("--config", str(scen))
 
+    @pytest.mark.parametrize("item", ["attack.mode=bogus", "alice_mode=qpsk"])
+    def test_unknown_enumerated_string_names_its_field(self, tmp_path, capsys, item):
+        code = run_cli("run", "--preset", "normal", "--slots", "20000", "--set", item,
+                       "--out", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {item.split('=')[0]}: expected one of ")
+        assert err.count("\n") == 1
+
     def test_round_trip(self, tmp_path, capsys):
         cfg = ScenarioConfig()
         again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
@@ -283,6 +292,20 @@ class TestSweepPower:
             "--min-dbm", "-20", "--max-dbm", "-30",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("args", [
+        ("--slots-per-point", "100"),
+        ("--min-dbm", "0", "--max-dbm", "1e400"),
+        ("--min-dbm=-1e308", "--max-dbm", "1e308"),
+        ("--min-dbm", "0", "--max-dbm", "5000"),
+    ], ids=["few-slots", "inf-max", "inf-step", "photons-overflow"])
+    def test_bad_arguments_exit_1_without_csv(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep-power", "--preset", "normal", "--points", "3",
+                       "--out-csv", str(out), *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestExplain:
