@@ -25,11 +25,13 @@ recovered `recovery_slots` after its end, so the live dim slots run from
 there to the next span's start, and a span's first slot is a
 rising-edge candidate when the previous span ended more than
 `recovery_slots` before it.  It is also given, for each piece of constant
-light, the incident levels its slots can show.  Live slots are thinned
-against their piece's largest escape probability with one integer
-comparison of the raw variate (`rng.raw_limit`); the chain is evaluated
-once, at the union of the detectors' survivors, and only those get the
-exact test `uniform < escape`.  The counter-based variate of a slot is
+light, the incident levels its slots can show.  Live slots are drawn a
+range at a time, straight from each range's first counter
+(`SlotRng.raw_at` with range ends), and thinned against their piece's
+largest escape probability with one integer comparison of the raw
+variate (`rng.raw_limit`).  Only the survivors are mapped back to slots;
+the chain is evaluated once, at their union over the detectors, and
+only they get the exact test `uniform < escape`.  The counter-based variate of a slot is
 the same whichever slots are drawn, so the clicks equal those of the
 slot-by-slot reference state machine in the tests.
 """
@@ -150,38 +152,51 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray,
         spans, piece_levels, detectors, states, rngs
     ):
         prev = np.concatenate(([state.last_bright], ends))
-        live = slot_ranges(
-            np.maximum(prev + params.recovery_slots, lo), np.concatenate((starts, [hi]))
-        )
+        first = np.maximum(prev + params.recovery_slots, lo)
+        lengths = np.maximum(np.concatenate((starts, [hi])) - first, 0)
+        raw = rng.raw_at(first, first + lengths)
+        # Live slot s of range j sits at position s - shift[j] of `raw`.
+        stops = np.cumsum(lengths)
+        shift = first - (stops - lengths)
+        j = np.maximum(np.searchsorted(first, piece_starts, side="right") - 1, 0)
+        pos = np.clip(piece_starts - shift[j], 0, stops[j])
         # Thinning: a live slot can click only if its variate lies below
         # its piece's escape bound, an integer test on the raw variate.
-        raw = rng.raw_at(live)
-        keep = np.empty(len(live), dtype=bool)
-        first = np.searchsorted(live, piece_starts).tolist()
-        limits = raw_limit(params.escape_bound(levels)).tolist()
-        for i0, i1, limit in zip(first, first[1:] + [len(live)], limits):
-            if i1 > i0:
-                np.less_equal(raw[i0:i1], limit, out=keep[i0:i1])
+        counts = np.concatenate((pos[1:], [len(raw)])) - pos
+        limits = raw_limit(params.escape_bound(levels))
+        busy = np.flatnonzero(counts)
+        if len(busy) > 8:
+            keep = raw <= np.repeat(limits, counts)
+        else:
+            keep = np.empty(len(raw), dtype=bool)
+            for i in busy.tolist():
+                i0, i1 = int(pos[i]), int(pos[i] + counts[i])
+                np.less_equal(raw[i0:i1], limits[i], out=keep[i0:i1])
+        kept = np.flatnonzero(keep)
         prevs.append(prev)
-        thinned.append(live[keep])
+        thinned.append(kept + shift[np.searchsorted(stops, kept, side="right")])
 
-    # The chain once, at the union of the survivors; `index` finds each
-    # survivor in it.
-    at = np.sort(np.concatenate(thinned))
-    if len(at):
-        at = at[np.concatenate(([True], at[1:] != at[:-1]))]
-        incidents = incidents_at(at)
-        index = np.empty(hi - lo, dtype=np.int64)
-        index[at - lo] = np.arange(len(at))
-    clicks = []
+    # The chain once, at the union of the survivors.  The detectors' sorted
+    # survivors are merged by a stable sort of their runs; `rank` finds
+    # each survivor in the union.
+    survivors = np.concatenate(thinned)
+    order = np.argsort(survivors, kind="stable")
+    merged = survivors[order]
+    new = np.concatenate(([True], merged[1:] != merged[:-1]))[:len(merged)]
+    rank = np.empty(len(survivors), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    if len(merged):
+        incidents = incidents_at(merged[new])
+    clicks, stop = [], 0
     for d, ((starts, _), prev, thin, params, state, rng) in enumerate(
         zip(spans, prevs, thinned, detectors, states, rngs)
     ):
         if len(thin):
-            incident = incidents[d][index[thin - lo]]
+            incident = incidents[d][rank[stop:stop + len(thin)]]
             dim = thin[rng.uniform_at(thin) < params.escape(incident)]
         else:
             dim = thin
+        stop += len(thin)
         clicks.append(_resolve(dim, starts, prev, params, state))
     return ClickLog.merge(clicks)
 

@@ -20,11 +20,16 @@ chunk, and every random draw is counter-based (see `rng`), so the click
 log and metrics are byte-identical for a given config regardless of
 chunking or sweep parallelism.
 
-`CHUNK_SLOTS` is sized for the cache: a 2^16-slot chunk keeps each
-per-slot float64 or int64 temporary at 512 kB, so the numpy passes over
-it stay in a typical L2 cache, where 2^20-slot chunks (8 MB temporaries)
-spill on every pass.  Much smaller chunks let the per-chunk Python work
-dominate.
+`CHUNK_SLOTS` is the work budget of a chunk (`chunk_bounds`).  An honest
+run is cut every 2^16 slots, which keeps each per-slot temporary at
+512 kB, in a typical L2 cache.  Under an attack plan a chunk ends once
+it holds 2^16 units of work: each slot that gets a per-slot array (a
+live dim slot that a detector draws at, or a slot evaluated one by one)
+is a unit, and each piece weighs `_PIECE_WORK` units for its own arrays.
+An attacked cycle without phase flips is latched but for its recovery
+window and a few single slots, so it weighs about 30 units instead of
+its 10,000 slots, and an all-attacked stretch runs in a few chunks
+instead of paying fixed per-chunk overhead every 2^16 slots.
 
 Default calibration
 -------------------
@@ -75,6 +80,7 @@ from .rng import RunStreams, child_seed
 
 CHUNK_SLOTS = 1 << 16
 _INT_LIMIT = 1 << 62
+_PIECE_WORK = 4  # work units of a piece's own arrays (see `chunk_bounds`)
 
 DEFAULT_MU = 0.2
 DEFAULT_LOSS_DB = 18.0
@@ -271,6 +277,21 @@ class RunMetrics:
         )
 
 
+def _lit_offsets(pieces: Pieces, detectors):
+    """(even, odd, hot): whether detector d shows a bright level at the
+    even and at the odd offsets of patterned piece i ([d, i], False in
+    per-slot pieces), and whether per-slot piece i has a bright level at
+    some detector ([i]).  Even offsets of a patterned piece show its first
+    difference; odd ones the other if it alternates, the same if not."""
+    thresholds = np.array([d.blind_threshold_photons for d in detectors])
+    lit = pieces.levels >= thresholds[:, None, None]  # [d, i, difference]
+    patterned = pieces.kind != PER_SLOT
+    i = np.arange(len(pieces.starts))
+    even = lit[:, i, pieces.diff] & patterned
+    odd = lit[:, i, pieces.diff ^ (pieces.kind == ALTERNATING)] & patterned
+    return even, odd, ~patterned & lit.any(axis=(0, 2))
+
+
 def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> list:
     """Each detector's latched spans (starts, ends) in [pieces.starts[0], hi).
 
@@ -281,25 +302,18 @@ def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> lis
     pieces with a level at some threshold are evaluated slot by slot.
     """
     empty = np.empty(0, dtype=np.int64)
-    thresholds = np.array([d.blind_threshold_photons for d in detectors])
-    lit = pieces.levels >= thresholds[:, None, None]  # [d, i, difference]
-    if not lit.any():
+    even, odd, hot = _lit_offsets(pieces, detectors)
+    if not (hot.any() or even.any() or odd.any()):
         return [(empty, empty)] * len(detectors)
-    starts, _, diff, kind = pieces
+    starts = pieces.starts
     ends = np.concatenate((starts[1:], [hi]))
-    patterned = kind != PER_SLOT
 
     bright = [empty] * len(detectors)
-    hot = ~patterned & lit.any(axis=(0, 2))
     if hot.any():
         slots = slot_ranges(starts[hot], ends[hot])
-        bright = [slots[inc >= t] for inc, t in zip(chain.incidents_at(slots), thresholds)]
+        bright = [slots[inc >= d.blind_threshold_photons]
+                  for inc, d in zip(chain.incidents_at(slots), detectors)]
 
-    # Even offsets of a patterned piece show its first difference; odd ones
-    # the other if it alternates, the same if not.
-    i = np.arange(len(starts))
-    even = lit[:, i, diff] & patterned
-    odd = lit[:, i, diff ^ (kind == ALTERNATING)] & patterned
     first = np.where(even, starts, starts + 1)
     step = np.where(even & odd, 1, 2)
     last = ends - 1 - (ends - 1 - first) % step
@@ -313,6 +327,42 @@ def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> lis
             f, l, st = np.insert(b, at, f), np.insert(b, at, l), np.insert(np.ones_like(b), at, st)
         spans.append(latched_spans(f, l, st, params.recovery_slots))
     return spans
+
+
+def chunk_bounds(chain: OpticalChain, n_slots: int, detectors) -> list[int]:
+    """The chunk boundaries 0 = b[0] < b[1] < ... = n_slots of a run.
+
+    Without an attack plan, a fixed grid of CHUNK_SLOTS slots.  Under one,
+    a chunk ends once it holds CHUNK_SLOTS units of work: one per slot of
+    a piece that some detector may be live in (not latched throughout by
+    the piece's bright runs) or that is evaluated slot by slot, and
+    `_PIECE_WORK` per piece.  A heavy stretch is so cut inside a cycle,
+    and a latched one costs its pieces only.  The pieces are scanned 2^10
+    cycles at a time.
+    """
+    budget = CHUNK_SLOTS
+    if not isinstance(chain.source, AttackPlan):
+        return [*range(0, n_slots, budget), n_slots]
+    recovery = np.array([d.recovery_slots for d in detectors])[:, None]
+    step = chain.source.cfg.cycle_slots << 10
+    bounds, done = [0], 0  # done: work since the last boundary
+    for a in range(0, n_slots, step):
+        b = min(a + step, n_slots)
+        pieces = chain.pieces(a, b)
+        even, odd, hot = _lit_offsets(pieces, detectors)
+        # Latched throughout: every detector's bright run has step 1, or
+        # step 2 within its recovery.
+        latched = ((even & odd) | ((even | odd) & (recovery >= 2))).all(axis=0)
+        dense = np.where(hot | ~latched, np.diff(pieces.starts, append=b), 0)
+        work = done + np.cumsum(dense + _PIECE_WORK)
+        due = np.arange(budget, work[-1] + 1, budget)
+        i = np.searchsorted(work, due)
+        # The due-th unit of work lies in piece i: a piece's own units come
+        # first, then one per slot.
+        into = due - (work[i] - dense[i])
+        bounds += (pieces.starts[i] + np.clip(into, 0, dense[i])).tolist()
+        done = int(work[-1]) % budget
+    return sorted(set(bounds) | {n_slots})  # cuts at piece starts can coincide
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
@@ -340,17 +390,16 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
 
     det_states = [BlockState() for _ in range(4)]
     logs = []
-    lo = 0
+    lo, hi = 0, cfg.n_slots
     try:
-        for lo in range(0, cfg.n_slots, CHUNK_SLOTS):
-            hi = min(lo + CHUNK_SLOTS, cfg.n_slots)
+        bounds = chunk_bounds(chain, cfg.n_slots, cfg.detectors)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
             pieces = chain.pieces(lo, hi)
             logs.append(simulate_block(
                 lo, hi, bright_spans(chain, pieces, hi, cfg.detectors), pieces.starts,
                 pieces.levels, chain.incidents_at, cfg.detectors, det_states, streams.detectors,
             ))
     except Exception as exc:
-        hi = min(lo + CHUNK_SLOTS, cfg.n_slots)
         raise RuntimeError(
             f"scenario failed while simulating slots [{lo}, {hi}): {exc}"
         ) from exc

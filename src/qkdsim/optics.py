@@ -7,16 +7,17 @@ phase parity and wavelength as one value per slot.  All light is carried
 as a mean photon number per slot; Poisson statistics enter only at the
 detectors.
 
-`OpticalChain` is addressed by slot index: it evaluates the source once,
-at the requested slots and their predecessors (slot 0's is vacuum), and
-maps them to the four detectors' incident means, with no state carried
-from slot to slot.  The source also describes its light in closed form
-(`pattern`): pieces over which a slot and its predecessor carry the same
-light and the phase difference is constant, alternates, or is drawn per
-slot.  Every slot of a piece then shows one of two levels per detector,
-one per phase difference, so `pieces` gives the levels of a whole slot
-range from two evaluations, and says which difference each slot of a
-patterned piece shows without evaluating it.
+`OpticalChain` is addressed by slot index: it evaluates the source once
+at each distinct slot among the requested slots and their predecessors
+(slot 0's is vacuum), and maps them to the four detectors' incident
+means, with no state carried from slot to slot.  The source also
+describes its light in closed form (`pattern`): pieces over which a slot
+and its predecessor carry the same light and the phase difference is
+constant, alternates, or is drawn per slot.  Every slot of a piece then
+shows one of two levels per detector, one per phase difference, so
+`pieces` gives the levels of a whole slot range from two evaluations,
+and says which difference each slot of a patterned piece shows without
+evaluating it.
 """
 
 from __future__ import annotations
@@ -138,17 +139,24 @@ class OpticalChain:
     flip_rng: object
 
     def _fields(self, slots: np.ndarray):
-        """(mean, mean_prev, dparity, wavelength) at `slots`: the filtered
-        mean of each slot and of its predecessor, and their phase parity
-        difference before phase flips.  The source is evaluated once, at
-        the slots and their predecessors; slot 0 interferes with vacuum."""
+        """(mean, mean_prev, dparity, wavelength) at sorted, distinct
+        `slots`: the filtered mean of each slot and of its predecessor, and
+        their phase parity difference before phase flips.  The source is
+        evaluated once per distinct slot: at the slots, and at the
+        predecessors that are not the slot before in `slots`; slot 0
+        interferes with vacuum."""
         n = len(slots)
-        after_vacuum = slots == 0
+        apart = np.empty(n, dtype=bool)  # the predecessor is evaluated apart
+        apart[:1] = slots[:1] != 0
+        np.not_equal(slots[1:] - 1, slots[:-1], out=apart[1:])
         mean, parity, lam = self.source.channel_fields(
-            np.concatenate((slots, slots - 1 + after_vacuum)))
+            np.concatenate((slots, slots[apart] - 1)))
         mean = self.bandpass.apply(mean, lam)
-        return (mean[:n], np.where(after_vacuum, 0.0, mean[n:]),
-                parity[:n] ^ np.where(after_vacuum, 0, parity[n:]), lam[:n])
+        mean_prev, dparity = np.zeros(n), np.zeros(n, dtype=parity.dtype)
+        mean_prev[1:], dparity[1:] = mean[:n - 1], parity[:n - 1]
+        mean_prev[apart], dparity[apart] = mean[n:], parity[n:]
+        dparity ^= parity[:n]
+        return mean[:n], mean_prev, dparity, lam[:n]
 
     def _incidents(self, mean, mean_prev, dparity, lam):
         port1, port2 = mzi_ports(mean, 1.0 - 2.0 * dparity, mean_prev)

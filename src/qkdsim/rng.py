@@ -4,6 +4,10 @@ Every random decision in a run is a pure function of (master seed, stream
 tag, counter), so results are identical regardless of chunk size, slot
 order within a chunk, or how many worker threads a sweep uses.  The mixer
 is splitmix64; one finalizer call per variate is plenty for Monte Carlo.
+Slot k's counter is k * golden + offset (mod 2^64), so the counters of a
+contiguous range are a shared ramp of multiples of golden plus one
+constant, and a range is hashed without building its slot indices
+(counter-based streams: Salmon et al., SC'11).
 """
 
 from __future__ import annotations
@@ -15,6 +19,24 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 _INV_2_53 = 1.0 / (1 << 53)
+# Ramps up to this length are cached; longer ones are built per call.
+_RAMP_CACHE_MAX = 1 << 20
+_ramp = np.zeros(0, dtype=np.uint64)
+
+
+def _golden_ramp(n: int) -> np.ndarray:
+    """k * golden (mod 2^64) for k < n, read-only.  The cache is only ever
+    replaced, never written to, so concurrent callers (a threaded sweep)
+    each see a complete ramp."""
+    global _ramp
+    ramp = _ramp
+    if len(ramp) < n:
+        ramp = np.arange(-(-n // 4096) * 4096, dtype=np.uint64)
+        ramp *= _GOLDEN
+        ramp.flags.writeable = False
+        if len(ramp) <= _RAMP_CACHE_MAX:
+            _ramp = ramp
+    return ramp[:n]
 
 
 def mix64(x):
@@ -56,6 +78,11 @@ def raw_limit(p):
     return ((k.astype(np.uint64) - _U64(1)) << _U64(11)) | _U64(2047)
 
 
+def _as_u64(a: np.ndarray) -> np.ndarray:
+    """Integers as uint64, negative ones modulo 2^64."""
+    return a.view(np.uint64) if a.dtype == np.int64 else a.astype(np.uint64, copy=False)
+
+
 class SlotRng:
     """Random-access uniform variates indexed by slot (or cycle) number.
 
@@ -73,15 +100,22 @@ class SlotRng:
         # (index + 1) * golden + seed == index * golden + _offset (mod 2^64)
         self._offset = _U64((seed + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
 
-    def raw_at(self, index):
+    def raw_at(self, index, ends=None):
+        """Raw 64-bit variates at `index`.  Given `ends`, `index` holds the
+        first slots of the ranges [index[i], ends[i]), and the result is
+        their variates laid end to end, equal to
+        `raw_at(detector.slot_ranges(index, ends))`; a range with
+        ends[i] <= index[i] is empty."""
         with np.errstate(over="ignore"):
-            idx = np.asarray(index)
-            idx = idx.view(np.uint64) if idx.dtype == np.int64 else idx.astype(np.uint64, copy=False)
-            if idx.ndim == 0:
-                return mix64(self._seed_u64 + (idx + _U64(1)) * _GOLDEN)
+            if ends is not None:
+                z = self._range_counters(np.asarray(index), np.asarray(ends))
+            else:
+                idx = _as_u64(np.asarray(index))
+                if idx.ndim == 0:
+                    return mix64(self._seed_u64 + (idx + _U64(1)) * _GOLDEN)
+                z = idx * _GOLDEN
+                z += self._offset
             # In-place pipeline; one temp array for the shifted halves.
-            z = idx * _GOLDEN
-            z += self._offset
             t = z >> _U64(30)
             z ^= t
             z *= _MIX1
@@ -91,6 +125,29 @@ class SlotRng:
             np.right_shift(z, _U64(31), out=t)
             z ^= t
             return z
+
+    def _range_counters(self, starts, ends):
+        """The counters of the ranges [starts[i], ends[i]) laid end to end:
+        at position p of range i, ramp[p] + (starts[i] - firsts[i]) *
+        golden + offset, with firsts[i] the position of its first slot."""
+        lengths = np.maximum(ends - starts, 0)
+        stops = np.cumsum(lengths)
+        firsts = stops - lengths
+        base = _as_u64(starts) - _as_u64(firsts)
+        base *= _GOLDEN
+        base += self._offset
+        total = int(stops[-1]) if len(stops) else 0
+        ramp = _golden_ramp(total)
+        busy = np.flatnonzero(lengths)
+        if len(busy) > 8:
+            z = np.repeat(base, lengths)
+            z += ramp
+            return z
+        z = np.empty(total, dtype=np.uint64)
+        for i in busy.tolist():
+            f, s = int(firsts[i]), int(stops[i])
+            np.add(ramp[f:s], base[i], out=z[f:s])
+        return z
 
     def uniform_at(self, index):
         """Uniform float64 in [0, 1) for each requested index."""

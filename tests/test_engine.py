@@ -20,7 +20,7 @@ from qkdsim.engine import (
 from qkdsim.detector import DetectorParams
 from qkdsim.optics import BandpassFilter, CouplerModel, OpticalChain
 from qkdsim.protocol import AliceSource, detector_statistics_check, sift
-from qkdsim.rng import RunStreams
+from qkdsim.rng import RunStreams, SlotRng
 
 from oracles import (
     brute_qber,
@@ -75,9 +75,10 @@ class TestReproducibility:
 
 
 def _preset(name, **overrides):
-    """A preset at 1.34e6 slots (seed 7): at a 997-slot chunk, boundaries
-    fall inside the attack's bright runs and, near slots 1.0e6 and 1.33e6,
-    inside its recovery windows (cycle positions 9991 and 9998)."""
+    """A preset at 1.34e6 slots (seed 7).  At a 997-slot budget an honest
+    run is cut every 997 slots, and an attacked one after every 997 units
+    of work: inside pass-through cycles and recovery windows, and at piece
+    starts where a piece's own work falls due."""
     data = dict(PRESETS[name], n_slots=1_340_000, seed=7)
     for key, value in overrides.items():
         data[key] = {**data.get(key, {}), **value} if isinstance(value, dict) else value
@@ -112,6 +113,11 @@ CHUNKING_CASES = {
         "full-attack", alice_mode="random", mu=2.0,
         attack={"mode": "intercept_resend", "blinding_slots": 9989, "recovery_window_slots": 11},
     ),
+    # Windows and pass-through cycles longer than the 997-unit budget: the
+    # work rule cuts inside both.
+    "long-window": lambda: _preset(
+        "partial-attack", attack={"blinding_slots": 1990, "recovery_window_slots": 1500}
+    ),
     # Bright honest light in closed form: the 0, pi alternation, no flips.
     "static-bright-honest": lambda: _preset(
         "normal", alice_mode="static_0pi", phase_flip_prob=0.0, channel_loss_dB=0.0,
@@ -136,6 +142,87 @@ def test_chunk_size_does_not_change_the_run(case, monkeypatch):
         assert np.array_equal(log.slots, log_ref.slots)
         assert np.array_equal(log.detector_ids, log_ref.detector_ids)
         assert m == m_ref
+
+
+def _spy_chunks(monkeypatch):
+    """Record the attack plan and the chunk boundaries of the next run."""
+    seen = {}
+    chunk_bounds = engine.chunk_bounds
+
+    def spy(chain, n_slots, detectors):
+        seen["plan"], seen["bounds"] = chain.source, chunk_bounds(chain, n_slots, detectors)
+        return seen["bounds"]
+
+    monkeypatch.setattr(engine, "chunk_bounds", spy)
+    return seen
+
+
+def test_work_rule_cuts_inside_windows_and_pass_through_cycles(monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_SLOTS", 997)
+    seen = _spy_chunks(monkeypatch)
+    run_scenario(CHUNKING_CASES["long-window"]())
+    plan, cuts = seen["plan"], np.array(seen["bounds"][1:-1])
+    C, W = plan.cfg.cycle_slots, plan.cfg.recovery_window_slots
+    k, offset = np.divmod(cuts, C)
+    in_window = plan.attacked[k] & (offset > C - W) & (offset < C - 1)
+    in_pass_through = ~plan.attacked[k] & (offset > 0)
+    assert in_window.any() and in_pass_through.any()
+
+
+@pytest.mark.parametrize("case", [
+    "flips-under-attack", "detuned-coupler", "recovery-1", "recovery-2", "long-window",
+    "partial-attack",
+])
+def test_per_slot_arrays_stay_within_the_budget(case, monkeypatch):
+    """No chunk hands a stage more slots than the budget plus one cycle of
+    work, whichever stage gets per-slot arrays: phase flips make every
+    attacked slot per-slot, a detuned coupler leaves one detector of the
+    lit pair live through the blinding, and a one-slot recovery every
+    other blinding slot."""
+    budget = 4096
+    monkeypatch.setattr(engine, "CHUNK_SLOTS", budget)
+    sizes = []
+    raw_at, incidents_at = SlotRng.raw_at, OpticalChain.incidents_at
+
+    def sized_raw_at(self, index, ends=None):
+        raw = raw_at(self, index, ends)
+        sizes.append(raw.size)
+        return raw
+
+    def sized_incidents_at(self, slots):
+        sizes.append(len(slots))
+        return incidents_at(self, slots)
+
+    monkeypatch.setattr(SlotRng, "raw_at", sized_raw_at)
+    monkeypatch.setattr(OpticalChain, "incidents_at", sized_incidents_at)
+    cfg = {**CHUNKING_CASES, **ORACLE_CASES}[case]()
+    run_scenario(cfg)
+    assert max(sizes) <= budget + cfg.attack.cycle_slots
+
+
+def test_full_attack_runs_in_a_handful_of_chunks(monkeypatch):
+    seen = _spy_chunks(monkeypatch)
+    _, m = run_scenario(_preset("full-attack", n_slots=100_000_000))
+    assert len(seen["bounds"]) - 1 <= 8
+    assert m.coincidences[1] == 10_000  # every cycle is served: one fake click each
+
+
+def test_failure_names_the_chunk_that_failed(monkeypatch):
+    calls = []
+    simulate_block = engine.simulate_block
+
+    def fail_second(lo, hi, *args):
+        calls.append((lo, hi))
+        if len(calls) == 2:
+            raise ValueError("planted")
+        return simulate_block(lo, hi, *args)
+
+    monkeypatch.setattr(engine, "simulate_block", fail_second)
+    with pytest.raises(RuntimeError) as err:
+        run_scenario(_preset("partial-attack"))
+    lo, hi = calls[1]
+    assert hi - lo != engine.CHUNK_SLOTS  # a work-sized chunk
+    assert str(err.value) == f"scenario failed while simulating slots [{lo}, {hi}): planted"
 
 
 ORACLE_CASES = {
@@ -288,6 +375,46 @@ def test_spans_from_the_cycle_plan_match_explicit_bright_slots(
         for (starts, ends), incident, params in zip(spans, incidents, cfg.detectors):
             bright = lo + np.flatnonzero(incident[lo:hi] >= params.blind_threshold_photons)
             assert (starts.tolist(), ends.tolist()) == _spans_of(bright, params.recovery_slots)
+
+
+@pytest.mark.filterwarnings("ignore:recovery window of")
+@settings(deadline=None, max_examples=20)
+@given(
+    blinding=st.integers(min_value=4, max_value=40),
+    window=st.integers(min_value=1, max_value=12),
+    recovery=st.integers(min_value=1, max_value=12),
+    mode=st.sampled_from(["emulation", "intercept_resend"]),
+    q=st.sampled_from([0.4, 1.0]),
+    detuned=st.booleans(),
+    flip=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    budget=st.integers(min_value=1, max_value=120),
+)
+def test_work_cuts_do_not_change_the_run(
+    blinding, window, recovery, mode, q, detuned, flip, seed, budget
+):
+    """Any work budget, down to less than one piece's own work, cuts an
+    attacked run into chunks that together give the one-chunk run."""
+    cfg = ScenarioConfig(
+        n_slots=400,
+        mu=2.0,
+        phase_flip_prob=flip,
+        coupler=CouplerModel(ratio_slope_per_nm=0.04 if detuned else 0.0),
+        detectors=(DetectorParams(recovery_slots=recovery, dark_prob_per_slot=0.01),) * 4,
+        attack=AttackConfig(
+            enabled=True, mode=mode, blinding_slots=blinding, recovery_window_slots=window,
+            attacked_fraction=q, blind_wavelength_nm=1561.0 if detuned else 1551.0,
+        ),
+        seed=seed,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "CHUNK_SLOTS", 1 << 20)
+        log_ref, m_ref = run_scenario(cfg)
+        mp.setattr(engine, "CHUNK_SLOTS", budget)
+        log, m = run_scenario(cfg)
+    assert np.array_equal(log.slots, log_ref.slots)
+    assert np.array_equal(log.detector_ids, log_ref.detector_ids)
+    assert m == m_ref
 
 
 class TestHonestOperation:

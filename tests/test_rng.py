@@ -1,7 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qkdsim import rng as rng_module
+from qkdsim.detector import slot_ranges
 from qkdsim.rng import RunStreams, SlotRng, child_seed, derive_seed, mix64, raw_limit
 
 from oracles import splitmix64_outputs
@@ -92,3 +97,60 @@ def test_raw_limit_is_the_uniform_comparison(p, raw):
         if r < 2**64:
             below = (r >> 11) / 2**53 < p
             assert (r <= limit) == below or (p == 0.0 and r < 2**11)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.one_of(
+        st.integers(min_value=-(2**63) + 100, max_value=2**63 - 10**4),
+        st.integers(min_value=-300, max_value=0),  # ranges across slot -1 = 2^64 - 1 -> 0
+    ),
+    # (gap after the previous range, length): gap 0 makes ranges adjacent,
+    # a negative one makes them overlap, a length <= 0 an empty range.
+    st.lists(st.tuples(st.integers(min_value=-5, max_value=40),
+                       st.integers(min_value=-3, max_value=60)), max_size=20),
+)
+def test_range_draws_equal_draws_at_the_range_slots(seed, base, ranges):
+    starts, ends, at = [], [], base
+    for gap, length in ranges:
+        starts.append(at + gap)
+        ends.append(at + gap + length)
+        at = max(at, ends[-1])
+    starts, ends = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+    rng = SlotRng(seed)
+    assert np.array_equal(rng.raw_at(starts, ends), rng.raw_at(slot_ranges(starts, ends)))
+
+
+def test_range_draws_beyond_the_ramp_cache():
+    rng = SlotRng(3)
+    starts, ends = np.array([5, 2**21]), np.array([2**21 - 7, 2**21 + 9])
+    assert np.array_equal(rng.raw_at(starts, ends), rng.raw_at(slot_ranges(starts, ends)))
+
+
+def test_range_draws_agree_across_threads_while_the_ramp_is_rebuilt(monkeypatch):
+    """Threads that drop and rebuild the shared ramp cache as they draw
+    each get the draws of their own ranges."""
+    monkeypatch.setattr(rng_module, "_ramp", np.zeros(0, dtype=np.uint64))
+    failures, interval = [], sys.getswitchinterval()
+
+    def draw(seed):
+        rng = SlotRng(seed)
+        for k in range(1, 400):
+            starts = np.array([seed, seed + 5000 + k])
+            ends = starts + [32 * k + 1, 7]
+            if k % 2 == 0:
+                rng_module._ramp = np.zeros(0, dtype=np.uint64)
+            if not np.array_equal(rng.raw_at(starts, ends), rng.raw_at(slot_ranges(starts, ends))):
+                failures.append((seed, k))
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
