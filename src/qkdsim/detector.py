@@ -31,9 +31,9 @@ range at a time, straight from each range's first counter
 largest escape probability with one integer comparison of the raw
 variate (`rng.raw_limit`).  Only the survivors are mapped back to slots;
 the chain is evaluated once, at their union over the detectors, and
-only they get the exact test `uniform < escape`.  The counter-based variate of a slot is
-the same whichever slots are drawn, so the clicks equal those of the
-slot-by-slot reference state machine in the tests.
+only they get the exact test `uniform < escape`.  The counter-based
+variate of a slot is the same whichever slots are drawn, so the clicks
+equal those of the slot-by-slot reference state machine in the tests.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import ClickLog
-from .rng import SlotRng, raw_limit
+from .rng import SlotRng, per_range, raw_limit
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 299792458.0
@@ -138,8 +138,8 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray,
     before, are joined to it), and the pieces of constant light starting
     at `piece_starts` (the first at `lo`): every dim slot of piece i sees
     one of detector d's incident means `piece_levels[d][i]`.
-    `incidents_at` maps sorted slots to the detectors' exact incident
-    means; it is called once, for the slots that survive thinning.
+    `incidents_at` maps sorted, distinct slots to the detectors' exact
+    incident means; it is called once, for the slots that survive thinning.
     Candidate clicks are then resolved sequentially for dead time.
     """
     # Interval j runs from the end prev[j] of a span (the carried last
@@ -164,14 +164,7 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray,
         # its piece's escape bound, an integer test on the raw variate.
         counts = np.concatenate((pos[1:], [len(raw)])) - pos
         limits = raw_limit(params.escape_bound(levels))
-        busy = np.flatnonzero(counts)
-        if len(busy) > 8:
-            keep = raw <= np.repeat(limits, counts)
-        else:
-            keep = np.empty(len(raw), dtype=bool)
-            for i in busy.tolist():
-                i0, i1 = int(pos[i]), int(pos[i] + counts[i])
-                np.less_equal(raw[i0:i1], limits[i], out=keep[i0:i1])
+        keep = per_range(np.less_equal, raw, limits, counts, out=np.empty(len(raw), bool))
         kept = np.flatnonzero(keep)
         prevs.append(prev)
         thinned.append(kept + shift[np.searchsorted(stops, kept, side="right")])

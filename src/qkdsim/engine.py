@@ -2,16 +2,17 @@
 
 The link is an index-addressed chain (`optics.OpticalChain`): source or
 attack fields (`protocol.AliceSource`, `attack.AttackPlan`) -> band-pass
-filter -> interferometer -> couplers, evaluated at any sorted slots, each
-slot's predecessor evaluated with it rather than carried.  Each chunk of
-slots is split into pieces of constant light with known incident levels,
-at the boundaries of the source's phase-difference pattern.  Where that pattern
-is closed form (an attacked cycle, or Alice's 0, pi alternation) and
-free of phase flips, a patterned piece's bright slots are a run of step 1
-or 2, read off its levels; only per-slot pieces with a level at some
-blinding threshold (bright honest light, or attacks with phase flips) are
-evaluated slot by slot.  Each detector's runs are merged into latched
-spans (`detector.latched_spans`), and the detector stage
+filter -> interferometer -> couplers, evaluated at any sorted, distinct
+slots, each slot's predecessor evaluated with it rather than carried.
+Each chunk of slots is split into pieces of constant light with known
+incident levels, at the boundaries of the source's phase-difference
+pattern.  Where that pattern is closed form (an attacked cycle, or
+Alice's 0, pi alternation) and free of phase flips, a patterned piece's
+bright slots are a run of step 1 or 2, read off its levels; only
+per-slot pieces with a level at some blinding threshold (bright honest
+light, or attacks with phase flips) are evaluated slot by slot.  Each
+detector's runs are merged into latched spans
+(`detector.latched_spans`), and the detector stage
 (`detector.simulate_block`) thins the live dim slots between spans
 against their pieces' escape bounds and evaluates the chain once, at the
 survivors.  The merged click log is sifted once (`protocol.sift`) and
@@ -25,9 +26,9 @@ run is cut every 2^16 slots, which keeps each per-slot temporary at
 512 kB, in a typical L2 cache.  Under an attack plan a chunk ends once
 it holds 2^16 units of work: each slot that gets a per-slot array (a
 live dim slot that a detector draws at, or a slot evaluated one by one)
-is a unit, and each piece weighs `_PIECE_WORK` units for its own arrays.
+is a unit, and so is each piece, which bounds the pieces of a chunk.
 An attacked cycle without phase flips is latched but for its recovery
-window and a few single slots, so it weighs about 30 units instead of
+window and a few single slots, so it weighs about 17 units instead of
 its 10,000 slots, and an all-attacked stretch runs in a few chunks
 instead of paying fixed per-chunk overhead every 2^16 slots.
 
@@ -80,7 +81,6 @@ from .rng import RunStreams, child_seed
 
 CHUNK_SLOTS = 1 << 16
 _INT_LIMIT = 1 << 62
-_PIECE_WORK = 4  # work units of a piece's own arrays (see `chunk_bounds`)
 
 DEFAULT_MU = 0.2
 DEFAULT_LOSS_DB = 18.0
@@ -285,6 +285,9 @@ def _lit_offsets(pieces: Pieces, detectors):
     difference; odd ones the other if it alternates, the same if not."""
     thresholds = np.array([d.blind_threshold_photons for d in detectors])
     lit = pieces.levels >= thresholds[:, None, None]  # [d, i, difference]
+    if not lit.any():
+        none = np.zeros(lit.shape[:2], dtype=bool)
+        return none, none, none[0]
     patterned = pieces.kind != PER_SLOT
     i = np.arange(len(pieces.starts))
     even = lit[:, i, pieces.diff] & patterned
@@ -335,10 +338,10 @@ def chunk_bounds(chain: OpticalChain, n_slots: int, detectors) -> list[int]:
     Without an attack plan, a fixed grid of CHUNK_SLOTS slots.  Under one,
     a chunk ends once it holds CHUNK_SLOTS units of work: one per slot of
     a piece that some detector may be live in (not latched throughout by
-    the piece's bright runs) or that is evaluated slot by slot, and
-    `_PIECE_WORK` per piece.  A heavy stretch is so cut inside a cycle,
-    and a latched one costs its pieces only.  The pieces are scanned 2^10
-    cycles at a time.
+    the piece's bright runs) or that is evaluated slot by slot, and one
+    per piece.  A heavy stretch is so cut inside a cycle, and a latched
+    one costs its pieces only.  The pieces are scanned 2^10 cycles at a
+    time.
     """
     budget = CHUNK_SLOTS
     if not isinstance(chain.source, AttackPlan):
@@ -354,11 +357,11 @@ def chunk_bounds(chain: OpticalChain, n_slots: int, detectors) -> list[int]:
         # step 2 within its recovery.
         latched = ((even & odd) | ((even | odd) & (recovery >= 2))).all(axis=0)
         dense = np.where(hot | ~latched, np.diff(pieces.starts, append=b), 0)
-        work = done + np.cumsum(dense + _PIECE_WORK)
+        work = done + np.cumsum(dense + 1)
         due = np.arange(budget, work[-1] + 1, budget)
         i = np.searchsorted(work, due)
-        # The due-th unit of work lies in piece i: a piece's own units come
-        # first, then one per slot.
+        # The due-th unit of work lies in piece i: the piece's own unit
+        # comes first, then one per slot.
         into = due - (work[i] - dense[i])
         bounds += (pieces.starts[i] + np.clip(into, 0, dense[i])).tolist()
         done = int(work[-1]) % budget

@@ -146,9 +146,11 @@ class OpticalChain:
         predecessors that are not the slot before in `slots`; slot 0
         interferes with vacuum."""
         n = len(slots)
-        apart = np.empty(n, dtype=bool)  # the predecessor is evaluated apart
-        apart[:1] = slots[:1] != 0
-        np.not_equal(slots[1:] - 1, slots[:-1], out=apart[1:])
+        # Positions whose predecessor is not the slot before in `slots`
+        # (slot 0's is vacuum); only those predecessors are evaluated apart.
+        apart = np.flatnonzero(slots[1:] - 1 != slots[:-1]) + 1
+        if n and slots[0] != 0:
+            apart = np.concatenate(([0], apart))
         mean, parity, lam = self.source.channel_fields(
             np.concatenate((slots, slots[apart] - 1)))
         mean = self.bandpass.apply(mean, lam)
@@ -163,7 +165,7 @@ class OpticalChain:
         return (*self.coupler.split(port1, lam), *self.coupler.split(port2, lam))
 
     def incidents_at(self, slots: np.ndarray):
-        """The four detectors' incident means at sorted `slots`."""
+        """The four detectors' incident means at sorted, distinct `slots`."""
         mean, mean_prev, dparity, lam = self._fields(slots)
         if self.phase_flip_prob > 0.0:
             dparity ^= self.flip_rng.uniform_at(slots) < self.phase_flip_prob

@@ -393,8 +393,8 @@ def test_spans_from_the_cycle_plan_match_explicit_bright_slots(
 def test_work_cuts_do_not_change_the_run(
     blinding, window, recovery, mode, q, detuned, flip, seed, budget
 ):
-    """Any work budget, down to less than one piece's own work, cuts an
-    attacked run into chunks that together give the one-chunk run."""
+    """Any work budget, down to a single unit, cuts an attacked run into
+    chunks that together give the one-chunk run."""
     cfg = ScenarioConfig(
         n_slots=400,
         mu=2.0,

@@ -1,7 +1,5 @@
-import sys
-import threading
-
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -118,39 +116,8 @@ def test_range_draws_equal_draws_at_the_range_slots(seed, base, ranges):
         at = max(at, ends[-1])
     starts, ends = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
     rng = SlotRng(seed)
-    assert np.array_equal(rng.raw_at(starts, ends), rng.raw_at(slot_ranges(starts, ends)))
-
-
-def test_range_draws_beyond_the_ramp_cache():
-    rng = SlotRng(3)
-    starts, ends = np.array([5, 2**21]), np.array([2**21 - 7, 2**21 + 9])
-    assert np.array_equal(rng.raw_at(starts, ends), rng.raw_at(slot_ranges(starts, ends)))
-
-
-def test_range_draws_agree_across_threads_while_the_ramp_is_rebuilt(monkeypatch):
-    """Threads that drop and rebuild the shared ramp cache as they draw
-    each get the draws of their own ranges."""
-    monkeypatch.setattr(rng_module, "_ramp", np.zeros(0, dtype=np.uint64))
-    failures, interval = [], sys.getswitchinterval()
-
-    def draw(seed):
-        rng = SlotRng(seed)
-        for k in range(1, 400):
-            starts = np.array([seed, seed + 5000 + k])
-            ends = starts + [32 * k + 1, 7]
-            if k % 2 == 0:
-                rng_module._ramp = np.zeros(0, dtype=np.uint64)
-            if not np.array_equal(rng.raw_at(starts, ends), rng.raw_at(slot_ranges(starts, ends))):
-                failures.append((seed, k))
-
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert failures == []
+    want = rng.raw_at(slot_ranges(starts, ends))
+    for loop_range_len in (0, 2**40):  # ranges looped over; values repeated
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng_module, "_LOOP_RANGE_LEN", loop_range_len)
+            assert np.array_equal(rng.raw_at(starts, ends), want)
