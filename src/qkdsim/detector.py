@@ -25,15 +25,22 @@ recovered `recovery_slots` after its end, so the live dim slots run from
 there to the next span's start, and a span's first slot is a
 rising-edge candidate when the previous span ended more than
 `recovery_slots` before it.  It is also given, for each piece of constant
-light, the incident levels its slots can show.  Live slots are drawn a
-range at a time, straight from each range's first counter
-(`SlotRng.raw_at` with range ends), and thinned against their piece's
-largest escape probability with one integer comparison of the raw
-variate (`rng.raw_limit`).  Only the survivors are mapped back to slots;
-the chain is evaluated once, at their union over the detectors, and
-only they get the exact test `uniform < escape`.  The counter-based
-variate of a slot is the same whichever slots are drawn, so the clicks
-equal those of the slot-by-slot reference state machine in the tests.
+light, the incident levels its slots can show.
+
+Dim clicks are drawn as candidates, not slot by slot.  A dim slot whose
+escape probability p > 0 has the level k with 2^-(k+1) < p <= 2^-k
+(`DetectorParams.level`, at most `rng.MAX_LEVEL`).  It is a candidate
+when its detector's level-k Bernoulli(2^-k) process hits it
+(`rng.bernoulli_hits`, drawn by geometric gaps in aligned sub-blocks of
+2^k slots), and a candidate clicks, when Ready, if u 2^-k < p for the
+slot's uniform u on the detector stream: a Bernoulli(p) event, whatever
+the slot's piece or chunk.  Only the live slots of each piece are
+searched, at the levels its dim light has, so a run costs its candidates
+and the sub-blocks they lie in; the chain is evaluated once, at the
+union of the candidates over the detectors.  The clicks equal those of
+the slot-by-slot reference state machine in the tests, which follows the
+same definition.  Candidate clicks and rising edges are then resolved for
+dead time (`_resolve`).
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import ClickLog
-from .rng import SlotRng, per_range, raw_limit
+from .rng import MAX_LEVEL, SlotRng, bernoulli_hits
 
 PLANCK_J_S = 6.62607015e-34
 LIGHT_SPEED_M_S = 299792458.0
@@ -79,13 +86,16 @@ class DetectorParams:
         dark count, 1 - (1 - d) e^{-mean*eta}."""
         return 1.0 - (1.0 - self.dark_prob_per_slot) * np.exp(-incident * self.efficiency)
 
-    def escape_bound(self, levels):
-        """Per row of `levels` (the incident means that a piece of slots
-        can show), the largest escape probability among its dim levels, 0
-        if it has none: no live slot of the piece can click more likely."""
-        levels = np.asarray(levels, dtype=np.float64)
-        dim = levels < self.blind_threshold_photons
-        return np.where(dim, self.escape(levels), 0.0).max(axis=-1)
+    def level(self, incident):
+        """The candidate level of each incident mean (see `simulate_block`):
+        the k in [0, MAX_LEVEL] with 2^-(k+1) < p <= 2^-k for its escape
+        probability p, or the highest; -1 where the light is bright or
+        p = 0, so the slot cannot click as a dim slot."""
+        incident = np.asarray(incident, dtype=np.float64)
+        p = self.escape(incident)
+        mantissa, exponent = np.frexp(p)
+        k = np.minimum((mantissa == 0.5) - exponent, MAX_LEVEL)
+        return np.where((incident < self.blind_threshold_photons) & (p > 0.0), k, -1)
 
 
 @dataclass
@@ -127,6 +137,31 @@ def latched_spans(first: np.ndarray, last: np.ndarray, step: np.ndarray,
     return first[np.concatenate(([True], gap))], last[np.concatenate((gap, [True]))]
 
 
+def _cut(first, stop, piece_starts, hi):
+    """The ranges [first[j], stop[j]) (sorted, disjoint, non-empty) cut at
+    the piece starts: (lo, hi, piece) of each part."""
+    a = np.searchsorted(piece_starts, first, side="right") - 1
+    b = np.searchsorted(piece_starts, stop - 1, side="right")
+    piece = slot_ranges(a, b)
+    j = np.repeat(np.arange(len(first)), b - a)
+    piece_ends = np.append(piece_starts[1:], hi)
+    return (np.maximum(first[j], piece_starts[piece]), np.minimum(stop[j], piece_ends[piece]),
+            piece)
+
+
+def _candidates(rng: SlotRng, k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The slots, sorted, of the ranges [lo[j], hi[j]) (sorted, disjoint,
+    non-empty) that the level-k process of the detector stream `rng` hits:
+    every slot at level 0, else the hits in the sub-blocks they touch."""
+    if k == 0:
+        return slot_ranges(lo, hi)
+    blocks = slot_ranges(lo >> k, ((hi - 1) >> k) + 1)
+    blocks = blocks[np.append(True, blocks[1:] != blocks[:-1])]
+    hits = bernoulli_hits(rng.level(k), k, blocks)
+    j = np.maximum(np.searchsorted(lo, hits, side="right") - 1, 0)
+    return hits[(hits >= lo[j]) & (hits < hi[j])]
+
+
 def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray,
                    piece_levels: np.ndarray, incidents_at, detectors, states,
                    rngs) -> ClickLog:
@@ -139,100 +174,106 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray,
     at `piece_starts` (the first at `lo`): every dim slot of piece i sees
     one of detector d's incident means `piece_levels[d][i]`.
     `incidents_at` maps sorted, distinct slots to the detectors' exact
-    incident means; it is called once, for the slots that survive thinning.
-    Candidate clicks are then resolved sequentially for dead time.
+    incident means; it is called once, for the candidates.  Candidate
+    clicks and rising edges are then resolved for dead time.
     """
     # Interval j runs from the end prev[j] of a span (the carried last
     # bright slot for j = 0) to the start of the next (or `hi`).  A dim
     # slot is past blinding once `recovery_slots` dim slots have elapsed
     # since the last bright one (counting itself), so interval j is live
-    # from prev[j] + R.
-    prevs, thinned = [], []
+    # from prev[j] + R.  Its live slots in piece i are candidates of each
+    # level that a dim level of the piece has.
+    prevs, cands, cand_levels = [], [], []
     for (starts, ends), levels, params, state, rng in zip(
         spans, piece_levels, detectors, states, rngs
     ):
         prev = np.concatenate(([state.last_bright], ends))
         first = np.maximum(prev + params.recovery_slots, lo)
-        lengths = np.maximum(np.concatenate((starts, [hi])) - first, 0)
-        raw = rng.raw_at(first, first + lengths)
-        # Live slot s of range j sits at position s - shift[j] of `raw`.
-        stops = np.cumsum(lengths)
-        shift = first - (stops - lengths)
-        j = np.maximum(np.searchsorted(first, piece_starts, side="right") - 1, 0)
-        pos = np.clip(piece_starts - shift[j], 0, stops[j])
-        # Thinning: a live slot can click only if its variate lies below
-        # its piece's escape bound, an integer test on the raw variate.
-        counts = np.concatenate((pos[1:], [len(raw)])) - pos
-        limits = raw_limit(params.escape_bound(levels))
-        keep = per_range(np.less_equal, raw, limits, counts, out=np.empty(len(raw), bool))
-        kept = np.flatnonzero(keep)
+        stop = np.append(starts, hi)
+        live = first < stop
+        seg_lo, seg_hi, piece = _cut(first[live], stop[live], piece_starts, hi)
+        level = params.level(levels)[piece]
+        found, found_levels = [], []
+        for k in np.unique(level[level >= 0]).tolist():
+            at = (level == k).any(axis=1)
+            hits = _candidates(rng, k, seg_lo[at], seg_hi[at])
+            found.append(hits)
+            found_levels.append(np.full(len(hits), k))
         prevs.append(prev)
-        thinned.append(kept + shift[np.searchsorted(stops, kept, side="right")])
+        cands.append(np.concatenate([seg_lo[:0], *found]))
+        cand_levels.append(np.concatenate([seg_lo[:0], *found_levels]))
 
-    # The chain once, at the union of the survivors.  The detectors' sorted
-    # survivors are merged by a stable sort of their runs; `rank` finds
-    # each survivor in the union.
-    survivors = np.concatenate(thinned)
-    order = np.argsort(survivors, kind="stable")
-    merged = survivors[order]
+    # The chain once, at the union of the candidates.  The detectors'
+    # candidates are merged by a stable sort; `rank` finds each in the union.
+    joined = np.concatenate(cands)
+    order = np.argsort(joined, kind="stable")
+    merged = joined[order]
     new = np.concatenate(([True], merged[1:] != merged[:-1]))[:len(merged)]
-    rank = np.empty(len(survivors), dtype=np.int64)
+    rank = np.empty(len(joined), dtype=np.int64)
     rank[order] = np.cumsum(new) - 1
     if len(merged):
         incidents = incidents_at(merged[new])
     clicks, stop = [], 0
-    for d, ((starts, _), prev, thin, params, state, rng) in enumerate(
-        zip(spans, prevs, thinned, detectors, states, rngs)
+    for d, ((starts, _), prev, cand, k, params, state, rng) in enumerate(
+        zip(spans, prevs, cands, cand_levels, detectors, states, rngs)
     ):
-        if len(thin):
-            incident = incidents[d][rank[stop:stop + len(thin)]]
-            dim = thin[rng.uniform_at(thin) < params.escape(incident)]
+        if len(cand):
+            # A candidate of level k clicks if k is its own escape
+            # probability's level and u 2^-k < p: Bernoulli(p) in all.
+            incident = incidents[d][rank[stop:stop + len(cand)]]
+            p = params.escape(incident)
+            take = (params.level(incident) == k) & (np.ldexp(rng.uniform_at(cand), -k) < p)
+            dim = np.sort(cand[take])
         else:
-            dim = thin
-        stop += len(thin)
+            dim = cand
+        stop += len(cand)
         clicks.append(_resolve(dim, starts, prev, params, state))
     return ClickLog.merge(clicks)
 
 
 def _resolve(dim, starts, prev, params: DetectorParams, state: BlockState) -> np.ndarray:
-    """One detector's clicks from its dim candidates and the span starts
-    that are rising-edge candidates, resolved in slot order for dead
-    time; carries its state out of the block."""
+    """One detector's clicks from its dim candidates (sorted) and the span
+    starts that are rising-edge candidates, resolved for dead time;
+    carries its state out of the block.
+
+    Dead time applies unless a bright slot after the click latched the
+    output high (which supersedes it).  A dim slot at the expiry slot
+    performs the Dead->Ready transition itself and may click; a bright
+    slot clicks only if some dim slot after both the click and the expiry
+    already ran.  Only dim clicks start a dead time, so the dim clicks form
+    a chain: after a click at s_i the next is the first candidate at or
+    after s_i + D, or the first whose last bright slot is after s_i.  Each
+    rising edge is then tested against the last dim click before it.
+    """
+    n, dead = len(dim), params.dead_time_slots
+    lbs = prev[np.searchsorted(starts, dim)]  # each candidate's last bright slot
+    first = min(np.searchsorted(dim, state.dead_until), np.searchsorted(lbs, state.last_dim_click))
+    # jump[i]: the candidate that clicks next after a click at candidate i;
+    # n ends the chain.  Pointer doubling lists the chain from `first`: if
+    # `chain` holds its first 2^t links, jump^(2^t) maps them to the next 2^t.
+    jump = np.minimum(np.searchsorted(dim, dim + dead), np.searchsorted(lbs, dim))
+    jump = np.append(np.maximum(jump, np.arange(1, n + 1)), n)
+    chain = np.array([first])
+    while chain[-1] < n:
+        chain = np.concatenate((chain, jump[chain]))
+        jump = jump[jump]
+    clicked = dim[chain[chain < n]]
+
     # A span's start is a rising-edge candidate only if the detector had
     # already recovered at some dim slot before it, i.e. its own interval
     # held a live slot: a gap of more than R to the span before.
     gap = np.flatnonzero(starts - prev[:-1] > params.recovery_slots)
-    # Candidates in slot order, each with the last bright slot before it.
-    cand = np.concatenate((dim, starts[gap]))
-    order = np.argsort(cand, kind="stable")
-    lbs = np.concatenate((prev[np.searchsorted(starts, dim)], prev[gap]))
-
-    clicks = []
-    dead_until = state.dead_until
-    last_dim_click = state.last_dim_click
-    for s, lb, at_bright in zip(
-        cand[order].tolist(), lbs[order].tolist(), (order >= len(dim)).tolist()
-    ):
-        # Dead time applies unless a bright slot after the click latched the
-        # output high (which supersedes it).  A dim slot at the expiry slot
-        # performs the Dead->Ready transition itself and may click; a bright
-        # slot clicks only if some dim slot after both the click and the
-        # expiry already ran, hence the extra slot.
-        if at_bright:
-            blocked = s <= max(dead_until, last_dim_click + 1) and lb < last_dim_click
-        else:
-            blocked = s < dead_until and lb < last_dim_click
-        if blocked:
-            continue
-        clicks.append(s)
-        if not at_bright:
-            last_dim_click = s
-            dead_until = s + params.dead_time_slots
+    edges, edge_lbs = starts[gap], prev[gap]
+    before = np.searchsorted(clicked, edges) - 1
+    last = np.where(before >= 0, clicked[before] if len(clicked) else 0, state.last_dim_click)
+    until = np.where(before >= 0, last + dead, state.dead_until)
+    blocked = (edges <= np.maximum(until, last + 1)) & (edge_lbs < last)
 
     state.last_bright = int(prev[-1])
-    state.dead_until = dead_until
-    state.last_dim_click = last_dim_click
-    return np.asarray(clicks, dtype=np.int64)
+    if len(clicked):
+        state.last_dim_click = int(clicked[-1])
+        state.dead_until = state.last_dim_click + dead
+    return np.sort(np.concatenate((clicked, edges[~blocked])))
 
 
 def count_rate_sweep(

@@ -13,24 +13,23 @@ per-slot pieces with a level at some blinding threshold (bright honest
 light, or attacks with phase flips) are evaluated slot by slot.  Each
 detector's runs are merged into latched spans
 (`detector.latched_spans`), and the detector stage
-(`detector.simulate_block`) thins the live dim slots between spans
-against their pieces' escape bounds and evaluates the chain once, at the
-survivors.  The merged click log is sifted once (`protocol.sift`) and
-reduced to metrics.  Only the detectors' state carries from chunk to
-chunk, and every random draw is counter-based (see `rng`), so the click
-log and metrics are byte-identical for a given config regardless of
-chunking or sweep parallelism.
+(`detector.simulate_block`) draws candidate clicks among the live dim
+slots between spans and evaluates the chain once, at the candidates.
+The merged click log is sifted once (`protocol.sift`) and reduced to
+metrics.  Only the detectors' state carries from chunk to chunk, and
+every random draw is counter-based (see `rng`), so the click log and
+metrics are byte-identical for a given config regardless of chunking or
+sweep parallelism.
 
-`CHUNK_SLOTS` is the work budget of a chunk (`chunk_bounds`).  An honest
-run is cut every 2^16 slots, which keeps each per-slot temporary at
-512 kB, in a typical L2 cache.  Under an attack plan a chunk ends once
-it holds 2^16 units of work: each slot that gets a per-slot array (a
-live dim slot that a detector draws at, or a slot evaluated one by one)
-is a unit, and so is each piece, which bounds the pieces of a chunk.
-An attacked cycle without phase flips is latched but for its recovery
-window and a few single slots, so it weighs about 17 units instead of
-its 10,000 slots, and an all-attacked stretch runs in a few chunks
-instead of paying fixed per-chunk overhead every 2^16 slots.
+`CHUNK_SLOTS` is the work budget of a chunk (`chunks`): a chunk ends
+once it holds 2^16 units of expected work, honest or attacked.  Each
+candidate and each sub-block searched for candidates is a unit (about
+4 * 2 * 2^-13 per slot on the stock link, so an honest chunk spans some
+6e7 slots), each slot evaluated one by one is a unit, and each piece
+weighs 8 (`_PIECE_UNITS`).  An attacked cycle without phase flips is
+latched but for its recovery window and a few single slots, so it costs
+its pieces and the rare candidates of its windows.  The pieces are
+evaluated once and handed to the chunks that hold them.
 
 Default calibration
 -------------------
@@ -80,6 +79,14 @@ from .protocol import (
 from .rng import RunStreams, child_seed
 
 CHUNK_SLOTS = 1 << 16
+# A piece enters per-detector arrays in both the span builder and the
+# detector stage, so it weighs a unit per detector in each.  Measured on
+# partial-attack at 1e8 slots (seed 3, in process, 2 shared vCPUs): peak
+# RSS 37.0 / 35.7 / 35.2 / 34.6 MB at 1 / 4 / 8 / 16 units, against
+# 33.4 MB before candidate sampling; run time 0.10-0.16 s at 8 and 16,
+# within the machine's noise.  At 16, full-attack at 1e8 slots takes 12
+# chunks instead of 6.
+_PIECE_UNITS = 8.0
 _INT_LIMIT = 1 << 62
 
 DEFAULT_MU = 0.2
@@ -332,40 +339,80 @@ def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> lis
     return spans
 
 
-def chunk_bounds(chain: OpticalChain, n_slots: int, detectors) -> list[int]:
-    """The chunk boundaries 0 = b[0] < b[1] < ... = n_slots of a run.
+def _work(pieces: Pieces, detectors):
+    """The expected work of each piece, as (fixed, rate): `fixed` units
+    plus `rate` per slot.  A piece weighs _PIECE_UNITS, and each slot
+    evaluated one by one (`bright_spans`) a unit.  For each detector that
+    may be live in it (not latched throughout by its bright runs), each
+    candidate level k of its dim levels costs its expected candidates and
+    sub-blocks touched: a unit plus 2 * 2^-k per slot."""
+    even, odd, hot = _lit_offsets(pieces, detectors)
+    recovery = np.array([d.recovery_slots for d in detectors])[:, None]
+    latched = (even & odd) | ((even | odd) & (recovery >= 2))
+    fixed, rate = np.full(len(pieces.starts), _PIECE_UNITS), hot.astype(np.float64)
+    for d, params in enumerate(detectors):
+        k = params.level(pieces.levels[d])
+        k[:, 1] = np.where(k[:, 1] == k[:, 0], -1, k[:, 1])  # a level once
+        live = (k >= 0) & ~latched[d][:, None]
+        fixed += live.sum(axis=1)
+        rate += np.where(live, np.ldexp(2.0, -k), 0.0).sum(axis=1)
+    return fixed, rate
 
-    Without an attack plan, a fixed grid of CHUNK_SLOTS slots.  Under one,
-    a chunk ends once it holds CHUNK_SLOTS units of work: one per slot of
-    a piece that some detector may be live in (not latched throughout by
-    the piece's bright runs) or that is evaluated slot by slot, and one
-    per piece.  A heavy stretch is so cut inside a cycle, and a latched
-    one costs its pieces only.  The pieces are scanned 2^10 cycles at a
-    time.
+
+def _slice(pieces: Pieces, lo: int, hi: int) -> Pieces:
+    """The pieces of [lo, hi) out of `pieces`, which cover it; an
+    alternating piece cut at `lo` starts on the difference it shows there."""
+    i = np.searchsorted(pieces.starts, lo, side="right") - 1
+    j = np.searchsorted(pieces.starts, hi)
+    starts, diff = pieces.starts[i:j].copy(), pieces.diff[i:j].copy()
+    kind = pieces.kind[i:j]
+    diff[0] ^= (lo - starts[0]) & (kind[0] == ALTERNATING)
+    starts[0] = lo
+    return Pieces(starts, pieces.levels[:, i:j], diff, kind)
+
+
+def _joined(parts: list) -> Pieces:
+    if len(parts) == 1:
+        return parts[0]
+    return Pieces(*(np.concatenate(f, axis=-1 if f[0].ndim == 1 else 1) for f in zip(*parts)))
+
+
+def chunks(chain: OpticalChain, n_slots: int, detectors):
+    """The run cut into chunks: (lo, hi, pieces) for consecutive slot ranges
+    [lo, hi) from 0 to n_slots, each with its pieces of constant light.
+
+    A chunk ends once it holds CHUNK_SLOTS units of expected work (`_work`),
+    so every array it hands a stage is about that long whatever its slot
+    count: an honest run is cut every few 10^7 slots at stock loss, a
+    latched attacked stretch costs its pieces only, and a heavy piece is
+    cut inside.  The pieces are evaluated once, in steps of 2^10 cycles
+    under an attack plan and all at once without one, and handed to the
+    chunks that hold them.
     """
     budget = CHUNK_SLOTS
-    if not isinstance(chain.source, AttackPlan):
-        return [*range(0, n_slots, budget), n_slots]
-    recovery = np.array([d.recovery_slots for d in detectors])[:, None]
-    step = chain.source.cfg.cycle_slots << 10
-    bounds, done = [0], 0  # done: work since the last boundary
+    step = chain.source.cfg.cycle_slots << 10 if isinstance(chain.source, AttackPlan) else n_slots
+    lo, done, held = 0, 0.0, []  # done: work since lo, held in pieces
     for a in range(0, n_slots, step):
         b = min(a + step, n_slots)
         pieces = chain.pieces(a, b)
-        even, odd, hot = _lit_offsets(pieces, detectors)
-        # Latched throughout: every detector's bright run has step 1, or
-        # step 2 within its recovery.
-        latched = ((even & odd) | ((even | odd) & (recovery >= 2))).all(axis=0)
-        dense = np.where(hot | ~latched, np.diff(pieces.starts, append=b), 0)
-        work = done + np.cumsum(dense + 1)
-        due = np.arange(budget, work[-1] + 1, budget)
-        i = np.searchsorted(work, due)
-        # The due-th unit of work lies in piece i: the piece's own unit
-        # comes first, then one per slot.
-        into = due - (work[i] - dense[i])
-        bounds += (pieces.starts[i] + np.clip(into, 0, dense[i])).tolist()
-        done = int(work[-1]) % budget
-    return sorted(set(bounds) | {n_slots})  # cuts at piece starts can coincide
+        fixed, rate = _work(pieces, detectors)
+        length = np.diff(pieces.starts, append=b)
+        total = done + np.cumsum(fixed + rate * length)
+        # The due-th unit lies in piece i: its fixed units come first, then
+        # its per-slot ones.
+        due = np.arange(budget, total[-1], budget)
+        i = np.searchsorted(total, due)
+        before = total[i] - fixed[i] - rate[i] * length[i]
+        into = np.ceil((due - before - fixed[i]) / np.maximum(rate[i], 1e-300))
+        cuts = pieces.starts[i] + np.clip(into, 0, length[i]).astype(np.int64)
+        for cut in np.unique(cuts[cuts > lo]).tolist():
+            yield lo, cut, _joined([*held, _slice(pieces, max(lo, a), cut)])
+            lo, held = cut, []
+        if lo < b:
+            held.append(_slice(pieces, max(lo, a), b))
+        done = float(total[-1]) % budget
+    if lo < n_slots:
+        yield lo, n_slots, _joined(held)
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
@@ -395,9 +442,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     logs = []
     lo, hi = 0, cfg.n_slots
     try:
-        bounds = chunk_bounds(chain, cfg.n_slots, cfg.detectors)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            pieces = chain.pieces(lo, hi)
+        for lo, hi, pieces in chunks(chain, cfg.n_slots, cfg.detectors):
             logs.append(simulate_block(
                 lo, hi, bright_spans(chain, pieces, hi, cfg.detectors), pieces.starts,
                 pieces.levels, chain.incidents_at, cfg.detectors, det_states, streams.detectors,

@@ -120,7 +120,8 @@ class Pieces(NamedTuple):
     `OpticalChain.pieces`)."""
 
     starts: np.ndarray  # first slot of each piece, the first at the range's start
-    levels: np.ndarray  # [d, i, dphi]: detector d+1's incident mean at difference 0, pi
+    levels: np.ndarray  # [d, i, 2]: detector d+1's incident mean at difference 0, pi
+                        # (a CONSTANT piece's at its one difference, twice)
     diff: np.ndarray    # phase difference (0 or 1) of each piece's first slot
     kind: np.ndarray    # CONSTANT, ALTERNATING or PER_SLOT
 
@@ -182,5 +183,7 @@ class OpticalChain:
         if self.phase_flip_prob > 0.0:
             kind = np.full_like(kind, PER_SLOT)
         mean, mean_prev, dparity, lam = (v[:, None] for v in self._fields(starts))
-        levels = self._incidents(mean, mean_prev, np.array([[0, 1]], dtype=np.uint8), lam)
+        # A constant piece shows one difference: its level, twice.
+        shown = np.where(kind[:, None] == CONSTANT, dparity, np.array([[0, 1]], dtype=np.uint8))
+        levels = self._incidents(mean, mean_prev, shown, lam)
         return Pieces(starts, np.stack(levels), dparity[:, 0], kind)

@@ -3,14 +3,22 @@
 Every random decision in a run is a pure function of (master seed, stream
 tag, counter), so results are identical regardless of chunk size, slot
 order within a chunk, or how many worker threads a sweep uses.  The mixer
-is splitmix64; one finalizer call per variate is plenty for Monte Carlo.
-Slot k's counter is k * golden + offset (mod 2^64), so the counters of a
-contiguous range are a ramp of multiples of golden plus one constant,
-and a range is hashed without building its slot indices (counter-based
-streams: Salmon et al., SC'11).
+is splitmix64; one finalizer call per variate is plenty for Monte Carlo
+(counter-based streams: Salmon et al., SC'11).  `SlotRng.raw_at` is the
+one entry point for every variate.
+
+Rare events are drawn as candidates rather than slot by slot (thinning
+after Lewis & Shedler, 1979): `bernoulli_hits` gives the slots that a
+Bernoulli(2^-k) process hits, walking aligned sub-blocks of 2^k slots by
+geometric gaps, so a stretch of slots costs about two draws per 2^k
+slots instead of one per slot.  Each detector stream has one such
+process per level k (`SlotRng.level`); `detector.simulate_block` tests
+the candidates of the level of each slot's escape probability.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,6 +27,12 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 _INV_2_53 = 1.0 / (1 << 53)
+
+# The highest dyadic level: a level-k sub-block holds 2^k slots, and with
+# slots below 2^62 a walk through the last one stays within int64.
+MAX_LEVEL = 61
+# log(1 - 2^-k), the log of a level-k slot's miss probability.
+_LOG_MISS = (-math.inf, *(math.log1p(-(2.0 ** -k)) for k in range(1, MAX_LEVEL + 1)))
 
 
 def mix64(x):
@@ -49,39 +63,6 @@ def child_seed(master: int, index: int) -> int:
     return derive_seed(master, "sweep-run", index)
 
 
-def raw_limit(p):
-    """Largest raw variate whose uniform variate can lie below `p`, per entry.
-
-    `uniform_at` maps raw r to (r >> 11) / 2**53, so for p > 0, uniform < p
-    exactly when r < ceil(p * 2**53) << 11, i.e. r <= raw_limit(p), which
-    stays within 64 bits at p = 1.  For p = 0 it keeps raw values < 2**11.
-    """
-    k = np.maximum(np.ceil(np.asarray(p, dtype=np.float64) * 2.0**53), 1.0)
-    return ((k.astype(np.uint64) - _U64(1)) << _U64(11)) | _U64(2047)
-
-
-# `per_range` loops over ranges that average at least this many
-# positions, and otherwise repeats the range values to full length, a
-# per-position temporary: a loop step costs about 1.3 us per range, the
-# repeated values about 0.35 ns per position.  Measured for np.add on
-# uint64 and np.less_equal at 4,096-131,072 positions in 1-16 ranges,
-# the loop wins from 2^13 to 2^14 positions per range on.
-_LOOP_RANGE_LEN = 1 << 13
-
-
-def per_range(ufunc, a: np.ndarray, values: np.ndarray, lengths: np.ndarray, out):
-    """ufunc(a, values[i]) into `out` at the lengths[i] positions of range
-    i, the ranges laid end to end (lengths >= 0)."""
-    busy = np.flatnonzero(lengths)
-    if len(a) < _LOOP_RANGE_LEN * len(busy):
-        return ufunc(a, np.repeat(values, lengths), out=out)
-    stops, lengths = np.cumsum(lengths).tolist(), lengths.tolist()
-    for i in busy.tolist():
-        f, s = stops[i] - lengths[i], stops[i]
-        ufunc(a[f:s], values[i], out=out[f:s])
-    return out
-
-
 def _as_u64(a: np.ndarray) -> np.ndarray:
     """Integers as uint64, negative ones modulo 2^64."""
     return a.view(np.uint64) if a.dtype == np.int64 else a.astype(np.uint64, copy=False)
@@ -96,51 +77,42 @@ class SlotRng:
     seeded with this stream's seed.
     """
 
-    __slots__ = ("seed", "_seed_u64", "_offset")
+    __slots__ = ("seed", "_seed_u64", "_offset", "_levels")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._seed_u64 = _U64(seed & 0xFFFFFFFFFFFFFFFF)
         # (index + 1) * golden + seed == index * golden + _offset (mod 2^64)
         self._offset = _U64((seed + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
+        self._levels = {}
 
-    def raw_at(self, index, ends=None):
-        """Raw 64-bit variates at `index`.  Given `ends`, `index` holds the
-        first slots of the ranges [index[i], ends[i]), and the result is
-        their variates laid end to end, equal to
-        `raw_at(detector.slot_ranges(index, ends))`; a range with
-        ends[i] <= index[i] is empty."""
-        with np.errstate(over="ignore"):
-            if ends is not None:
-                z = self._range_counters(np.asarray(index), np.asarray(ends))
-            else:
-                idx = _as_u64(np.asarray(index))
-                if idx.ndim == 0:
-                    return mix64(self._seed_u64 + (idx + _U64(1)) * _GOLDEN)
-                z = idx * _GOLDEN
-                z += self._offset
-            # In-place pipeline; one temp array for the shifted halves.
-            t = z >> _U64(30)
-            z ^= t
-            z *= _MIX1
-            np.right_shift(z, _U64(27), out=t)
-            z ^= t
-            z *= _MIX2
-            np.right_shift(z, _U64(31), out=t)
-            z ^= t
-            return z
+    def raw_at(self, index):
+        """Raw 64-bit variates at `index`."""
+        idx = _as_u64(np.asarray(index))
+        if idx.ndim == 0:
+            with np.errstate(over="ignore"):
+                return mix64(self._seed_u64 + (idx + _U64(1)) * _GOLDEN)
+        # Array arithmetic wraps modulo 2^64 without a warning.  In-place
+        # pipeline; one temp array for the shifted halves.
+        z = idx * _GOLDEN
+        z += self._offset
+        t = z >> _U64(30)
+        z ^= t
+        z *= _MIX1
+        np.right_shift(z, _U64(27), out=t)
+        z ^= t
+        z *= _MIX2
+        np.right_shift(z, _U64(31), out=t)
+        z ^= t
+        return z
 
-    def _range_counters(self, starts, ends):
-        """The counters of the ranges [starts[i], ends[i]) laid end to end:
-        at position p of range i, p * golden + (starts[i] - firsts[i]) *
-        golden + offset, with firsts[i] the position of its first slot."""
-        lengths = np.maximum(ends - starts, 0)
-        base = _as_u64(starts) - _as_u64(np.cumsum(lengths) - lengths)
-        base *= _GOLDEN
-        base += self._offset
-        z = np.arange(int(lengths.sum()), dtype=np.uint64)
-        z *= _GOLDEN
-        return per_range(np.add, z, base, lengths, out=z)
+    def level(self, k: int) -> "SlotRng":
+        """The stream of this stream's level-k candidate gaps (see
+        `bernoulli_hits`)."""
+        stream = self._levels.get(k)
+        if stream is None:
+            stream = self._levels[k] = SlotRng(derive_seed(self.seed, "candidates", k))
+        return stream
 
     def uniform_at(self, index):
         """Uniform float64 in [0, 1) for each requested index."""
@@ -155,6 +127,37 @@ class SlotRng:
         z = self.raw_at(index)
         z >>= _U64(63)
         return z.astype(np.uint8)
+
+
+def bernoulli_hits(rng: SlotRng, k: int, blocks: np.ndarray) -> np.ndarray:
+    """The slots, sorted, that a Bernoulli(2^-k) process hits in the aligned
+    sub-blocks `blocks` (sorted, distinct) of 2^k slots, sub-block b being
+    the slots [b 2^k, (b + 1) 2^k); `rng` is the level-k stream
+    (`SlotRng.level`), 0 < k <= MAX_LEVEL.
+
+    Each sub-block is walked by geometric gaps: draw j of sub-block b is
+    the uniform u at counter b (2^k + 1) + j, its gap
+    floor(log(1 - u) / log(1 - 2^-k)) slots are passed over, and the slot
+    after them is hit while it lies in the sub-block.  A sub-block takes
+    at most 2^k + 1 draws, so no two sub-blocks share a counter.  Each
+    round draws once for every sub-block whose walk has not yet left it.
+    """
+    size = 1 << k
+    counter = blocks * (size + 1)
+    slot = (blocks << k) - 1  # the slot before the next gap
+    end = slot + (size + 1)
+    hits = []
+    while len(counter):
+        gap = np.log1p(-rng.uniform_at(counter))
+        gap /= _LOG_MISS[k]
+        np.minimum(gap, size, out=gap)  # >= 0, so the cast floors it
+        slot = slot + gap.astype(np.int64)
+        slot += 1
+        inside = np.flatnonzero(slot < end)
+        counter, slot, end = counter[inside], slot[inside], end[inside]
+        counter += 1
+        hits.append(slot)
+    return np.sort(np.concatenate(hits)) if hits else blocks
 
 
 class RunStreams:

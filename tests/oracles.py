@@ -22,7 +22,7 @@ from qkdsim.attack import PORT1, PORT2, AttackPlan, eve_outcome
 from qkdsim.detector import BlockState, DetectorParams
 from qkdsim.engine import CHUNK_SLOTS, compute_metrics
 from qkdsim.protocol import AliceSource, ClickLog, sift
-from qkdsim.rng import RunStreams, SlotRng
+from qkdsim.rng import RunStreams, SlotRng, derive_seed
 
 _M64 = (1 << 64) - 1
 
@@ -141,6 +141,64 @@ SECURE_FRACTION_E0 = 0.6006339999999999  # mu=0.2, eta_T=1.585e-3, e=0, dCCR=0
 SECURE_FRACTION_E032 = 0.10663588252440864  # e=0.032, f=1.16, dCCR=9e-5
 
 
+# --- Candidate clicks: the detectors' random-number contract -------------
+#
+# A Ready detector's dim slot with escape probability p > 0 has the level
+# k with 2^-(k+1) < p <= 2^-k (at most 61).  It clicks if the detector's
+# level-k process hits it and u * 2^-k < p, u the slot's uniform on the
+# detector's stream.  The level-k process hits each slot with probability
+# 2^-k: every slot at level 0; above, each aligned sub-block b of 2^k
+# slots is walked by geometric gaps drawn on the stream
+# derive_seed(detector seed, "candidates", k), draw j at counter
+# b * (2^k + 1) + j.
+
+MAX_LEVEL = 61
+
+
+def candidate_level(p: float) -> int:
+    mantissa, exponent = math.frexp(p)
+    return min(-exponent + (mantissa == 0.5), MAX_LEVEL)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def sub_block_hits(seed: int, k: int, block: int) -> frozenset:
+    """Offsets in sub-block `block` that the level-k process (k >= 1) of
+    the detector stream seeded `seed` hits, one gap at a time."""
+    stream = SlotRng(derive_seed(seed, "candidates", k))
+    size, log_miss = 1 << k, math.log1p(-(2.0 ** -k))
+    hits, pos = [], -1
+    for j in range(size + 1):
+        u = float(stream.uniform_at(block * (size + 1) + j))
+        pos += 1 + math.floor(math.log1p(-u) / log_miss)
+        if pos >= size:
+            break
+        hits.append(pos)
+    return frozenset(hits)
+
+
+def is_candidate(rng: SlotRng, k: int, slot: int) -> bool:
+    return k == 0 or slot % (1 << k) in sub_block_hits(rng.seed, k, slot >> k)
+
+
+def level_hits(rng: SlotRng, k: int, blocks: np.ndarray) -> np.ndarray:
+    """Slots that the level-k process of detector stream `rng` hits in the
+    sub-blocks `blocks`: the first m draws of every sub-block at once, m
+    doubling until each walk has left its sub-block."""
+    if k == 0:
+        return blocks
+    stream = SlotRng(derive_seed(rng.seed, "candidates", k))
+    size, m = 1 << k, 4
+    while True:
+        counters = blocks[:, None] * (size + 1) + np.arange(m)
+        u = stream.uniform_at(counters.ravel()).reshape(len(blocks), m)
+        pos = np.cumsum(np.floor(np.log1p(-u) / math.log1p(-(2.0 ** -k))) + 1, axis=1) - 1
+        if not len(blocks) or (pos[:, -1] >= size).all():
+            break
+        m *= 2
+    inside = pos < size
+    return (blocks[:, None] * size + pos.astype(np.int64))[inside]
+
+
 # --- Slot-by-slot detector state machine ---------------------------------
 
 _NEVER = -(1 << 62)
@@ -213,7 +271,10 @@ class Detector:
         escape = 1.0 - (1.0 - p.dark_prob_per_slot) * math.exp(
             -incident_mean * p.efficiency
         )
-        if float(self.rng.uniform_at(slot)) < escape:
+        if escape <= 0.0:
+            return None
+        k = candidate_level(escape)
+        if is_candidate(self.rng, k, slot) and float(self.rng.uniform_at(slot)) * 2.0**-k < escape:
             st.mode = Mode.DEAD
             st.until_slot = slot + p.dead_time_slots
             return ClickEvent(self.detector_id, slot)
@@ -325,8 +386,8 @@ def mzi_ports_carried(mean, cos_dphi, prev_mean: float):
 
 def simulate_block_dense(incident, base_slot, params, state, rng):
     """One detector over a block given its incident mean in every slot;
-    draws a variate and evaluates the escape probability at every live
-    dim slot."""
+    evaluates the escape probability, the candidate test and a variate at
+    every live dim slot."""
     n = len(incident)
     bright = np.flatnonzero(incident >= params.blind_threshold_photons)
     prev = np.empty(len(bright) + 1, dtype=np.int64)
@@ -340,7 +401,15 @@ def simulate_block_dense(incident, base_slot, params, state, rng):
     escape = 1.0 - (1.0 - params.dark_prob_per_slot) * np.exp(
         -incident[live] * params.efficiency
     )
-    dim = live[rng.uniform_at(live + base_slot) < escape]
+    mantissa, exponent = np.frexp(escape)
+    level = np.minimum(np.where(mantissa == 0.5, 1, 0) - exponent, MAX_LEVEL)
+    candidate = np.zeros(len(live), dtype=bool)
+    for k in np.unique(level[escape > 0.0]).tolist():
+        at = np.flatnonzero((level == k) & (escape > 0.0))
+        slots = live[at] + base_slot
+        candidate[at] = np.isin(slots, level_hits(rng, k, np.unique(slots >> k)))
+    u = rng.uniform_at(live + base_slot)
+    dim = live[candidate & (u < escape * np.ldexp(1.0, level))]
     edge = bright - prev[:-1] > params.recovery_slots
 
     cand = np.concatenate((dim, bright[edge]))

@@ -22,16 +22,16 @@ def resolved(*argv):
 # changes the output of every seed, and must say so.
 GOLDEN_DIGESTS = {
     "normal": (
-        "34fab1a336f460619896872a17408b9aac11dc6f32e0af7b34b63d5b79e2f8c3",
-        "8e1b70141c08a94087313ee99be641dfb0c1efc9a310f1aa2c35cff2a20d0dc3",
+        "7b23ee4bcc68aa94860ad4fe0a20657137d847550d1ba8df6be89664e6727dad",
+        "db4995ee03bc363ae3aa6c20f5475c1120cf1964f999d2c427e9159e434b6a4a",
     ),
     "full-attack": (
         "6fc4dac65cb5146f6b67957f0930d3a611d4b840f9527eb39f4152057d2d37ae",
         "0a5a3dcf55a18928c5acc1c9e67d43ef326941024d434f95d2e9cfe9bcbe77bc",
     ),
     "partial-attack": (
-        "d90fa7d8e3e8300f28734e47e29c06ec8f95c6ee225d0bb6377d7db861ff2082",
-        "00f766a76827c64a87e04135cb59d48907315f88c0c628c1ab1dab936bb05364",
+        "2b164e0ed262dab1703b3a766a96c051ca724ab558e9234777a99e17d14d8a4c",
+        "8bb2f48ba57003a3ba92d628bb79b86a5d494edbc537ebf77848865fbf19ee3c",
     ),
 }
 

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkdsim import rng as rng_module
-from qkdsim.detector import slot_ranges
-from qkdsim.rng import RunStreams, SlotRng, child_seed, derive_seed, mix64, raw_limit
+from qkdsim.rng import RunStreams, SlotRng, bernoulli_hits, child_seed, derive_seed, mix64
 
-from oracles import splitmix64_outputs
+from oracles import level_hits, splitmix64_outputs
 
 
 def test_raw_at_matches_reference_splitmix64():
@@ -79,45 +77,41 @@ def test_mix64_avalanche():
     assert int(mix64(x)) != int(mix64(y))
 
 
-@given(
-    st.one_of(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.integers(min_value=0, max_value=2**53).map(lambda k: k / 2**53),
-    ),
-    st.integers(min_value=0, max_value=2**64 - 1),
-)
-def test_raw_limit_is_the_uniform_comparison(p, raw):
-    # A raw variate r gives the uniform (r >> 11) / 2**53, which is below p
-    # exactly when r <= raw_limit(p) (p > 0).  Check a random r and the
-    # values on both sides of the limit.
-    limit = int(raw_limit(np.array([p]))[0])
-    for r in (raw, limit, limit + 1):
-        if r < 2**64:
-            below = (r >> 11) / 2**53 < p
-            assert (r <= limit) == below or (p == 0.0 and r < 2**11)
+def _hit_indicator(seed, k, n_blocks, first_block=0):
+    """0/1 per slot of n_blocks level-k sub-blocks from `first_block` on."""
+    blocks = np.arange(first_block, first_block + n_blocks, dtype=np.int64)
+    hits = bernoulli_hits(SlotRng(seed).level(k), k, blocks)
+    hit = np.zeros(n_blocks << k, dtype=bool)
+    hit[hits - (first_block << k)] = True
+    return hit
 
 
-@given(
-    st.integers(min_value=0, max_value=2**64 - 1),
-    st.one_of(
-        st.integers(min_value=-(2**63) + 100, max_value=2**63 - 10**4),
-        st.integers(min_value=-300, max_value=0),  # ranges across slot -1 = 2^64 - 1 -> 0
-    ),
-    # (gap after the previous range, length): gap 0 makes ranges adjacent,
-    # a negative one makes them overlap, a length <= 0 an empty range.
-    st.lists(st.tuples(st.integers(min_value=-5, max_value=40),
-                       st.integers(min_value=-3, max_value=60)), max_size=20),
-)
-def test_range_draws_equal_draws_at_the_range_slots(seed, base, ranges):
-    starts, ends, at = [], [], base
-    for gap, length in ranges:
-        starts.append(at + gap)
-        ends.append(at + gap + length)
-        at = max(at, ends[-1])
-    starts, ends = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+@pytest.mark.parametrize("k", [1, 2, 5, 9, 13, 18])
+def test_candidate_frequency_is_two_to_the_minus_level(k):
+    slots = 1 << 21
+    hits = _hit_indicator(31, k, slots >> k, first_block=(1 << 40) >> k)
+    q = 2.0**-k
+    sigma = np.sqrt(slots * q * (1.0 - q))
+    assert abs(hits.sum() - slots * q) < 5.0 * sigma
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_candidate_hits_uncorrelated_in_adjacent_slots_and_across_sub_block_edges(k):
+    hits = _hit_indicator(7, k, (1 << 20) >> k)
+    q = 2.0**-k
+    both = hits[:-1] & hits[1:]  # pair (s, s + 1)
+    edge = (np.arange(1, len(hits)) % (1 << k)) == 0  # s + 1 opens a sub-block
+    for pairs in (both[edge], both[~edge]):
+        sigma = np.sqrt(len(pairs) * q * q * (1.0 - q * q))
+        assert abs(pairs.sum() - len(pairs) * q * q) < 5.0 * sigma
+    # A sub-block's first slot is hit as often as any other.
+    first = hits[:: 1 << k]
+    assert abs(first.sum() - len(first) * q) < 5.0 * np.sqrt(len(first) * q * (1.0 - q))
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=24),
+       st.lists(st.integers(min_value=0, max_value=2**30), min_size=1, max_size=40, unique=True))
+def test_candidate_hits_equal_the_dense_reference(seed, k, blocks):
+    blocks = np.array(sorted(blocks), dtype=np.int64)
     rng = SlotRng(seed)
-    want = rng.raw_at(slot_ranges(starts, ends))
-    for loop_range_len in (0, 2**40):  # ranges looped over; values repeated
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng_module, "_LOOP_RANGE_LEN", loop_range_len)
-            assert np.array_equal(rng.raw_at(starts, ends), want)
+    assert np.array_equal(bernoulli_hits(rng.level(k), k, blocks), np.sort(level_hits(rng, k, blocks)))
