@@ -447,6 +447,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
                 lo, hi, bright_spans(chain, pieces, hi, cfg.detectors), pieces.starts,
                 pieces.levels, chain.incidents_at, cfg.detectors, det_states, streams.detectors,
             ))
+            # `chunks` cuts the next chunk while the loop asks for it: a
+            # failure there lies in the slots not yet simulated.
+            lo, hi = hi, cfg.n_slots
     except Exception as exc:
         raise RuntimeError(
             f"scenario failed while simulating slots [{lo}, {hi}): {exc}"

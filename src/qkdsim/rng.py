@@ -77,14 +77,13 @@ class SlotRng:
     seeded with this stream's seed.
     """
 
-    __slots__ = ("seed", "_seed_u64", "_offset", "_levels")
+    __slots__ = ("seed", "_seed_u64", "_offset")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._seed_u64 = _U64(seed & 0xFFFFFFFFFFFFFFFF)
         # (index + 1) * golden + seed == index * golden + _offset (mod 2^64)
         self._offset = _U64((seed + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
-        self._levels = {}
 
     def raw_at(self, index):
         """Raw 64-bit variates at `index`."""
@@ -109,10 +108,7 @@ class SlotRng:
     def level(self, k: int) -> "SlotRng":
         """The stream of this stream's level-k candidate gaps (see
         `bernoulli_hits`)."""
-        stream = self._levels.get(k)
-        if stream is None:
-            stream = self._levels[k] = SlotRng(derive_seed(self.seed, "candidates", k))
-        return stream
+        return SlotRng(derive_seed(self.seed, "candidates", k))
 
     def uniform_at(self, index):
         """Uniform float64 in [0, 1) for each requested index."""

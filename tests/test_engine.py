@@ -209,8 +209,9 @@ def test_full_attack_runs_in_a_handful_of_chunks(monkeypatch):
     _, m = run_scenario(_preset("full-attack", n_slots=100_000_000))
     assert len(seen["bounds"]) - 1 <= 8
     # Every cycle is served, a fake click pair each, unless a dark count in
-    # its recovery window (about 0.15 per run) blocks one detector's edge
-    # and so turns the pair into two singles.
+    # its recovery window blocks one detector's edge and so turns the pair
+    # into two singles: seed 7 has two such cycles, 2036 and 5857.
+    assert (m.coincidences[1], m.singles[2], m.singles[3]) == (9_998, 2, 2)
     assert m.coincidences[1] + (m.singles[2] + m.singles[3]) // 2 == 10_000
 
 
@@ -231,6 +232,34 @@ def test_failure_names_the_chunk_that_failed(monkeypatch):
     lo, hi = calls[1]
     assert hi - lo != engine.CHUNK_SLOTS  # a work-sized chunk
     assert str(err.value) == f"scenario failed while simulating slots [{lo}, {hi}): planted"
+
+
+def test_failure_between_chunks_names_the_slots_not_yet_simulated(monkeypatch):
+    """A failure while the next chunk is cut, here in the second step of
+    piece evaluation, names the slots after the last simulated chunk."""
+    done, pieces = [], OpticalChain.pieces
+    simulate_block = engine.simulate_block
+
+    def record(lo, hi, *args):
+        done.append(hi)
+        return simulate_block(lo, hi, *args)
+
+    def fail_second(self, lo, hi):
+        if lo > 0:
+            raise ValueError("planted")
+        return pieces(self, lo, hi)
+
+    monkeypatch.setattr(engine, "simulate_block", record)
+    monkeypatch.setattr(OpticalChain, "pieces", fail_second)
+    monkeypatch.setattr(engine, "CHUNK_SLOTS", 997)
+    # 1000-slot cycles: pieces are evaluated in steps of 1,024,000 slots.
+    cfg = _preset("partial-attack", attack={"blinding_slots": 990})
+    with pytest.raises(RuntimeError) as err:
+        run_scenario(cfg)
+    assert 0 < done[-1] < cfg.n_slots
+    assert str(err.value) == (
+        f"scenario failed while simulating slots [{done[-1]}, {cfg.n_slots}): planted"
+    )
 
 
 ORACLE_CASES = {
