@@ -9,25 +9,20 @@ Two knobs are fixed by design targets rather than measured hardware:
   is solved from qber = (d + flip * p) / (p + 2d) with p the per-detector
   click probability, so the simulated QBER centers on 3.2%.
 
-Prints the derived constants; with --verify also runs the stock scenario
-and reports the simulated QBER.
+Prints the derived constants and checks them against the shipped defaults,
+`DetectorParams()` and `ScenarioConfig()`, which every run without its
+own values uses; with --verify also runs the stock scenario and reports
+the simulated QBER.
 """
 
 import argparse
 import math
 import sys
 
-from qkdsim.engine import (
-    CCR_TARGET,
-    DEFAULT_DARK_PROB,
-    DEFAULT_EFFICIENCY,
-    DEFAULT_LOSS_DB,
-    DEFAULT_MU,
-    DEFAULT_PHASE_FLIP_PROB,
-    ScenarioConfig,
-    run_scenario,
-)
+from qkdsim.detector import DetectorParams
+from qkdsim.engine import ScenarioConfig, run_scenario
 
+CCR_TARGET = 5.0e-5
 QBER_TARGET = 0.032
 
 
@@ -38,20 +33,21 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=20260808)
     args = ap.parse_args()
 
-    T = 10.0 ** (-DEFAULT_LOSS_DB / 10.0)
-    dark = CCR_TARGET - 0.25 * DEFAULT_MU * T * DEFAULT_EFFICIENCY
-    p_click = 1.0 - math.exp(-(DEFAULT_MU * T / 2.0) * DEFAULT_EFFICIENCY)
+    link, det = ScenarioConfig(), DetectorParams()
+    mu, T, eta = link.mu, link.transmission, det.efficiency
+    dark = CCR_TARGET - 0.25 * mu * T * eta
+    p_click = 1.0 - math.exp(-(mu * T / 2.0) * eta)
     flip = (QBER_TARGET * (p_click + 2.0 * dark) - dark) / p_click
 
-    print(f"efficiency          = {DEFAULT_EFFICIENCY}")
+    print(f"efficiency          = {eta}")
     print(f"dark_prob_per_slot  = {dark!r}")
     print(f"phase_flip_prob     = {flip!r}")
-    print(f"coincidence est.    = {0.25 * DEFAULT_MU * T * DEFAULT_EFFICIENCY + dark!r}")
+    print(f"coincidence est.    = {0.25 * mu * T * eta + dark!r}")
     print(f"dark-only QBER      = {dark / (p_click + 2 * dark):.4f}")
 
     drift = max(
-        abs(dark - DEFAULT_DARK_PROB) / DEFAULT_DARK_PROB,
-        abs(flip - DEFAULT_PHASE_FLIP_PROB) / DEFAULT_PHASE_FLIP_PROB,
+        abs(dark - det.dark_prob_per_slot) / det.dark_prob_per_slot,
+        abs(flip - link.phase_flip_prob) / link.phase_flip_prob,
     )
     if drift > 1e-9:
         print(f"WARNING: shipped defaults drift from derivation by {drift:.2e}")

@@ -86,7 +86,7 @@ def worker(seeds: list[int], scale: float) -> None:
 
 
 def run_tree(tree: Path, seeds: list[int], scale: float) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), QKDSIM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker",
            json.dumps(seeds), "--scale", str(scale)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)

@@ -126,7 +126,7 @@ class AttackPlan:
         C = cfg.cycle_slots
         self.n_cycles = (n_slots + C - 1) // C
         k = np.arange(self.n_cycles)
-        self.attacked = cycle_rng.uniform_at(k.astype(np.uint64)) < cfg.attacked_fraction
+        self.attacked = cycle_rng.uniform_at(k) < cfg.attacked_fraction
 
         # Target pair of each cycle's re-blinding edge; 0 = unserved.
         self.targets = np.zeros(self.n_cycles, dtype=np.int8)

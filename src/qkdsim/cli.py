@@ -139,13 +139,17 @@ def _write_report(path: Path, cfg: ScenarioConfig, metrics: RunMetrics) -> None:
 def cmd_run(args) -> int:
     cfg = resolve_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log, metrics = run_scenario(cfg)
-    (out_dir / "metrics.json").write_text(metrics.to_json(), encoding="utf-8")
-    if args.emit_clicks:
-        log.write_csv(out_dir / "clicks.csv")
-    _write_report(out_dir / "report.txt", cfg, metrics)
-    sys.stdout.write((out_dir / "report.txt").read_text(encoding="utf-8"))
+    try:  # the simulation does no I/O, so an OSError is the output's
+        out_dir.mkdir(parents=True, exist_ok=True)
+        log, metrics = run_scenario(cfg)
+        (out_dir / "metrics.json").write_text(metrics.to_json(), encoding="utf-8")
+        if args.emit_clicks:
+            log.write_csv(out_dir / "clicks.csv")
+        _write_report(out_dir / "report.txt", cfg, metrics)
+        sys.stdout.write((out_dir / "report.txt").read_text(encoding="utf-8"))
+    except OSError as exc:
+        print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+        return 1
     if metrics.abort and args.fail_on_abort:
         return 2
     return 0

@@ -18,8 +18,7 @@ slots between spans and evaluates the chain once, at the candidates.
 The merged click log is sifted once (`protocol.sift`) and reduced to
 metrics.  Only the detectors' state carries from chunk to chunk, and
 every random draw is counter-based (see `rng`), so the click log and
-metrics are byte-identical for a given config regardless of chunking or
-sweep parallelism.
+metrics are byte-identical for a given config regardless of chunking.
 
 `CHUNK_SLOTS` is the work budget of a chunk (`chunks`): a chunk ends
 once it holds 2^16 units of expected work, honest or attacked.  Each
@@ -45,7 +44,10 @@ QBER centers on 3.2%:
 
 With eta = 0.06: d = 5.0e-5 - mu*T*eta/4 = 2.4532e-6 and flip = 7.852e-3.
 (A 10% device efficiency with ~2 dB of receiver insertion loss gives the
-same effective eta; only the product matters here.)
+same effective eta; only the product matters here.)  eta and d are
+written once, as the defaults of `DetectorParams`; mu, the loss and flip
+as those of `ScenarioConfig`.  `scripts/calibrate_defaults.py` checks
+them against this derivation.
 """
 
 from __future__ import annotations
@@ -53,10 +55,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,22 +89,6 @@ CHUNK_SLOTS = 1 << 16
 _PIECE_UNITS = 8.0
 _INT_LIMIT = 1 << 62
 
-DEFAULT_MU = 0.2
-DEFAULT_LOSS_DB = 18.0
-DEFAULT_EFFICIENCY = 0.06
-CCR_TARGET = 5.0e-5
-DEFAULT_DARK_PROB = CCR_TARGET - 0.25 * DEFAULT_MU * 10.0 ** (
-    -DEFAULT_LOSS_DB / 10.0
-) * DEFAULT_EFFICIENCY
-DEFAULT_PHASE_FLIP_PROB = 7.852123187681173e-3
-
-
-def default_detector() -> DetectorParams:
-    return DetectorParams(
-        efficiency=DEFAULT_EFFICIENCY, dark_prob_per_slot=DEFAULT_DARK_PROB
-    )
-
-
 class ConfigError(ValueError):
     """Invalid scenario configuration; `path` names the offending key."""
 
@@ -117,15 +101,13 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     clock_hz: float = 1e9
     n_slots: int = 10_000_000
-    mu: float = DEFAULT_MU
-    channel_loss_dB: float = DEFAULT_LOSS_DB
-    phase_flip_prob: float = DEFAULT_PHASE_FLIP_PROB
+    mu: float = 0.2
+    channel_loss_dB: float = 18.0
+    phase_flip_prob: float = 7.852123187681173e-3
     signal_wavelength_nm: float = 1551.0
     filter: BandpassFilter = field(default_factory=BandpassFilter)
     coupler: CouplerModel = field(default_factory=CouplerModel)
-    detectors: tuple[DetectorParams, ...] = field(
-        default_factory=lambda: tuple(default_detector() for _ in range(4))
-    )
+    detectors: tuple[DetectorParams, ...] = (DetectorParams(),) * 4
     attack: AttackConfig = field(default_factory=AttackConfig)
     alice_mode: typing.Literal["random", "static_0pi"] = "random"
     seed: int = 20260808
@@ -261,27 +243,10 @@ class RunMetrics:
     abort: bool
     abort_reason: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "qber": self.qber,
-            "ccr_pair_A": self.ccr_pair_A,
-            "ccr_pair_B": self.ccr_pair_B,
-            "ccr_est": self.ccr_est,
-            "count_rates_cps": list(self.count_rates_cps),
-            "singles": list(self.singles),
-            "coincidences": list(self.coincidences),
-            "K_sift": self.K_sift,
-            "K_sec": self.K_sec,
-            "attack_fraction_est": self.attack_fraction_est,
-            "abort": self.abort,
-            "abort_reason": self.abort_reason,
-        }
-
     def to_json(self) -> str:
-        return (
-            json.dumps(self.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
-            + "\n"
-        )
+        """Every field, keys sorted, tuples as lists."""
+        data = dataclasses.asdict(self)
+        return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _lit_offsets(pieces: Pieces, detectors):
@@ -542,9 +507,8 @@ def config_with(cfg: ScenarioConfig, path: str, value) -> ScenarioConfig:
 
 
 def run_sweep(base: ScenarioConfig, axis: str, values) -> list[RunMetrics]:
-    """One independent run per value of `axis`; run k's seed derives from
-    (base.seed, k), and results are ordered like `values` regardless of
-    how many workers execute them."""
+    """One independent run per value of `axis`, in order; run k's seed
+    derives from (base.seed, k)."""
     values = list(values)
     if not values:
         raise ValueError("sweep values must be non-empty")
@@ -561,16 +525,4 @@ def run_sweep(base: ScenarioConfig, axis: str, values) -> list[RunMetrics]:
     ]
     for c in configs:
         c.validate()
-
-    max_workers = min(len(configs), os.cpu_count() or 1)
-    env_cap = os.environ.get("QKDSIM_THREADS")
-    if env_cap:
-        try:
-            max_workers = max(1, min(max_workers, int(env_cap)))
-        except ValueError:
-            raise ConfigError("QKDSIM_THREADS", f"expected an integer, got {env_cap!r}") from None
-
-    if max_workers == 1:
-        return [run_scenario(c)[1] for c in configs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return [m for _, m in pool.map(lambda c: run_scenario(c), configs)]
+    return [run_scenario(c)[1] for c in configs]

@@ -71,7 +71,7 @@ class AliceSource:
     def parity_at(self, slots):
         s = np.asarray(slots, dtype=np.int64)
         if self.mode == "random":
-            return self.rng.bit_at(s.astype(np.uint64))
+            return self.rng.bit_at(s)
         return (s % 2).astype(np.uint8)
 
     def key_bits_at(self, slots: np.ndarray) -> np.ndarray:

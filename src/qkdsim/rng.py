@@ -1,11 +1,11 @@
 """Deterministic counter-based random numbers for slot simulations.
 
 Every random decision in a run is a pure function of (master seed, stream
-tag, counter), so results are identical regardless of chunk size, slot
-order within a chunk, or how many worker threads a sweep uses.  The mixer
-is splitmix64; one finalizer call per variate is plenty for Monte Carlo
-(counter-based streams: Salmon et al., SC'11).  `SlotRng.raw_at` is the
-one entry point for every variate.
+tag, counter), so results are identical regardless of chunk size or slot
+order within a chunk.  The mixer is splitmix64, one finalizer (`_mix`)
+for seeds and variates alike; one finalizer call per variate is plenty
+for Monte Carlo (counter-based streams: Salmon et al., SC'11).
+`SlotRng.raw_at` is the one entry point for every variate.
 
 Rare events are drawn as candidates rather than slot by slot (thinning
 after Lewis & Shedler, 1979): `bernoulli_hits` gives the slots that a
@@ -35,16 +35,26 @@ MAX_LEVEL = 61
 _LOG_MISS = (-math.inf, *(math.log1p(-(2.0 ** -k)) for k in range(1, MAX_LEVEL + 1)))
 
 
-def mix64(x):
-    """splitmix64 finalizer; accepts a uint64 scalar or array.
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in place on the uint64 array `z` (0-d
+    included), which it returns.  Array arithmetic wraps modulo 2^64
+    without a warning; one temp array holds the shifted halves."""
+    t = np.empty_like(z)
+    np.right_shift(z, _U64(30), out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _U64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    return z
 
-    Multiplication wraps modulo 2^64 by design.
-    """
-    with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64)
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        return z ^ (z >> _U64(31))
+
+def mix64(x):
+    """splitmix64 finalizer of a uint64 scalar or array, as a new uint64
+    array of its shape."""
+    return _mix(np.array(x, dtype=np.uint64))
 
 
 def derive_seed(master: int, tag: str, index: int = 0) -> int:
@@ -63,11 +73,6 @@ def child_seed(master: int, index: int) -> int:
     return derive_seed(master, "sweep-run", index)
 
 
-def _as_u64(a: np.ndarray) -> np.ndarray:
-    """Integers as uint64, negative ones modulo 2^64."""
-    return a.view(np.uint64) if a.dtype == np.int64 else a.astype(np.uint64, copy=False)
-
-
 class SlotRng:
     """Random-access uniform variates indexed by slot (or cycle) number.
 
@@ -77,33 +82,20 @@ class SlotRng:
     seeded with this stream's seed.
     """
 
-    __slots__ = ("seed", "_seed_u64", "_offset")
+    __slots__ = ("seed", "_offset")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._seed_u64 = _U64(seed & 0xFFFFFFFFFFFFFFFF)
         # (index + 1) * golden + seed == index * golden + _offset (mod 2^64)
         self._offset = _U64((seed + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
 
     def raw_at(self, index):
-        """Raw 64-bit variates at `index`."""
-        idx = _as_u64(np.asarray(index))
-        if idx.ndim == 0:
-            with np.errstate(over="ignore"):
-                return mix64(self._seed_u64 + (idx + _U64(1)) * _GOLDEN)
-        # Array arithmetic wraps modulo 2^64 without a warning.  In-place
-        # pipeline; one temp array for the shifted halves.
-        z = idx * _GOLDEN
+        """Raw 64-bit variates at `index` (integers, negative ones modulo
+        2^64), as a uint64 array of its shape."""
+        z = np.asarray(index).astype(np.uint64)
+        z *= _GOLDEN
         z += self._offset
-        t = z >> _U64(30)
-        z ^= t
-        z *= _MIX1
-        np.right_shift(z, _U64(27), out=t)
-        z ^= t
-        z *= _MIX2
-        np.right_shift(z, _U64(31), out=t)
-        z ^= t
-        return z
+        return _mix(z)
 
     def level(self, k: int) -> "SlotRng":
         """The stream of this stream's level-k candidate gaps (see

@@ -7,7 +7,6 @@ run a few times 1e8 slots, so the whole module takes a few minutes.
 
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from qkdsim.detector import DetectorParams, count_rate_sweep, photons_to_dBm
 from qkdsim.engine import config_with, run_scenario, run_sweep
 from qkdsim.optics import mzi_ports
 from qkdsim.protocol import KeyRateInputs, secure_fraction, secure_key_length
-from qkdsim.rng import SlotRng
+from qkdsim.rng import SlotRng, child_seed
 
 from oracles import (
     SECURE_FRACTION_E0,
@@ -279,8 +278,8 @@ def test_criterion_6_property_suites():
 
     det_violations = _detector_invariant_check(100_000)
 
-    # Byte-identical reproducibility of a full run, twice, and of a sweep
-    # under two thread-count settings.
+    # Byte-identical reproducibility of a full run, twice, and of each sweep
+    # run against the same config run alone at its derived seed.
     cfg = preset_config("partial-attack", n_slots=1_000_000)
     log_a, m_a = run_scenario(cfg)
     log_b, m_b = run_scenario(cfg)
@@ -290,16 +289,15 @@ def test_criterion_6_property_suites():
         and np.array_equal(log_a.detector_ids, log_b.detector_ids)
     )
     sweep_cfg = preset_config("partial-attack", n_slots=200_000)
-    os.environ["QKDSIM_THREADS"] = "1"
-    try:
-        sweep_1 = run_sweep(sweep_cfg, "attack.attacked_fraction", [0.25, 0.75])
-    finally:
-        os.environ["QKDSIM_THREADS"] = "2"
-    try:
-        sweep_2 = run_sweep(sweep_cfg, "attack.attacked_fraction", [0.25, 0.75])
-    finally:
-        del os.environ["QKDSIM_THREADS"]
-    sweep_ok = [m.to_json() for m in sweep_1] == [m.to_json() for m in sweep_2]
+    axis, fractions = "attack.attacked_fraction", [0.25, 0.75]
+    sweep = run_sweep(sweep_cfg, axis, fractions)
+    alone = [
+        run_scenario(dataclasses.replace(
+            config_with(sweep_cfg, axis, q), seed=child_seed(sweep_cfg.seed, k)
+        ))[1]
+        for k, q in enumerate(fractions)
+    ]
+    sweep_ok = [m.to_json() for m in sweep] == [m.to_json() for m in alone]
 
     ok = mzi_failures == 0 and det_violations == 0 and rerun_ok and sweep_ok
     report(
@@ -308,5 +306,5 @@ def test_criterion_6_property_suites():
         "state-machine invariants (1e5 sequences), byte-identical reruns",
         ok,
         f"mzi_failures={mzi_failures} detector_violations={det_violations} "
-        f"rerun={rerun_ok} sweep_threads={sweep_ok}",
+        f"rerun={rerun_ok} sweep_seeds={sweep_ok}",
     )

@@ -119,6 +119,16 @@ class TestRunCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("out", ["f", "f/sub"], ids=["a-file", "under-a-file"])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, out):
+        (tmp_path / "f").touch()
+        code = run_cli("run", "--preset", "normal", "--slots", "1000",
+                       "--out", str(tmp_path / out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / out}: ")
+        assert err.count("\n") == 1
+
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"coupler": {"bend_radius": 3}}')

@@ -1,5 +1,4 @@
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from qkdsim.engine import (
     ConfigError,
     ScenarioConfig,
     config_with,
-    default_detector,
     run_scenario,
     run_sweep,
 )
@@ -59,19 +57,6 @@ class TestReproducibility:
         _, m1 = run_scenario(small_cfg(seed=1))
         _, m2 = run_scenario(small_cfg(seed=2))
         assert m1.to_json() != m2.to_json()
-
-    def test_sweep_thread_counts_agree(self):
-        base = small_cfg(n_slots=100_000)
-        os.environ["QKDSIM_THREADS"] = "1"
-        try:
-            serial = run_sweep(base, "mu", [0.1, 0.2, 0.3])
-        finally:
-            os.environ["QKDSIM_THREADS"] = "2"
-        try:
-            threaded = run_sweep(base, "mu", [0.1, 0.2, 0.3])
-        finally:
-            del os.environ["QKDSIM_THREADS"]
-        assert [m.to_json() for m in serial] == [m.to_json() for m in threaded]
 
 
 def _preset(name, **overrides):
@@ -462,10 +447,7 @@ class TestHonestOperation:
         cfg = small_cfg(
             n_slots=1_000_000,
             phase_flip_prob=0.0,
-            detectors=tuple(
-                dataclasses.replace(default_detector(), dark_prob_per_slot=0.0)
-                for _ in range(4)
-            ),
+            detectors=(DetectorParams(dark_prob_per_slot=0.0),) * 4,
         )
         _, m = run_scenario(cfg)
         assert m.K_sift > 0
@@ -476,10 +458,7 @@ class TestHonestOperation:
             n_slots=1_000_000,
             mu=1e-4,
             phase_flip_prob=0.0,
-            detectors=tuple(
-                dataclasses.replace(default_detector(), dark_prob_per_slot=0.0)
-                for _ in range(4)
-            ),
+            detectors=(DetectorParams(dark_prob_per_slot=0.0),) * 4,
         )
         _, m = run_scenario(cfg)
         assert m.coincidences == (0, 0)
@@ -489,10 +468,7 @@ class TestHonestOperation:
         cfg = small_cfg(
             n_slots=2,
             mu=0.0,
-            detectors=tuple(
-                dataclasses.replace(default_detector(), dark_prob_per_slot=0.0)
-                for _ in range(4)
-            ),
+            detectors=(DetectorParams(dark_prob_per_slot=0.0),) * 4,
         )
         log, m = run_scenario(cfg)
         assert len(log) == 0
@@ -547,9 +523,7 @@ class TestEngineMatchesBruteSift:
     def test_dense_run_matches_brute_sift(self):
         # 0 dB and efficiency 0.5 give a click every few dozen slots; the
         # raised dark rate adds multi-port slots.
-        det = dataclasses.replace(
-            default_detector(), efficiency=0.5, dark_prob_per_slot=0.01
-        )
+        det = DetectorParams(efficiency=0.5, dark_prob_per_slot=0.01)
         ref = self._check(small_cfg(channel_loss_dB=0.0, detectors=(det,) * 4))
         assert ref["coinc"]["A"] > 0 and ref["coinc"]["B"] > 0
         assert ref["multiport_slots"] > 0
@@ -701,11 +675,6 @@ class TestSweeps:
         ests = [m.ccr_est for m in res]
         assert ests[0] < ests[2] < ests[1]
 
-    def test_bad_thread_cap_is_a_config_error(self, monkeypatch):
-        monkeypatch.setenv("QKDSIM_THREADS", "abc")
-        with pytest.raises(ConfigError, match="QKDSIM_THREADS"):
-            run_sweep(small_cfg(n_slots=10_000), "mu", [0.1, 0.2])
-
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(small_cfg(), "mu", [])
@@ -737,6 +706,11 @@ class TestConfigPaths:
         cfg = config_with(small_cfg(), "detectors.*.dark_prob_per_slot", 0.0)
         assert all(d.dark_prob_per_slot == 0.0 for d in cfg.detectors)
 
+    def test_default_detectors_are_four_schema_defaults(self):
+        assert ScenarioConfig().detectors == (
+            config_from_dict({"detectors": [{}, {}, {}, {}]}).detectors
+        )
+
     def test_detector_index(self):
         cfg = config_with(small_cfg(), "detectors.2.efficiency", 0.5)
         assert cfg.detectors[2].efficiency == 0.5
@@ -767,7 +741,7 @@ class TestValidation:
 
     def test_detector_count(self):
         with pytest.raises(ConfigError):
-            small_cfg(detectors=(default_detector(),) * 3).validate()
+            small_cfg(detectors=(DetectorParams(),) * 3).validate()
 
     def test_alice_mode(self):
         with pytest.raises(ConfigError):

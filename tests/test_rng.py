@@ -17,6 +17,21 @@ def test_raw_at_matches_reference_splitmix64():
         assert [int(v) for v in rng.raw_at(np.arange(32))] == ref  # int64 indices
 
 
+@pytest.mark.parametrize(
+    "index",
+    [np.array([-1, -5, -(2**63)]), -7, 2**63, 2**64 - 1, np.array(12), np.uint64(3)],
+    ids=["negative-int64", "negative-int", "int-2^63", "int-2^64-1", "0-d", "uint64-scalar"],
+)
+def test_raw_at_takes_indices_modulo_2_64(index):
+    # Output k of the reference generator seeded s is output 0 of the one
+    # seeded s + k * golden; k counts modulo 2^64.
+    seed = 0xDEADBEEF
+    got = SlotRng(seed).raw_at(index)
+    assert got.shape == np.shape(index)
+    for k, v in zip(np.ravel(index).tolist(), np.ravel(got).tolist()):
+        assert v == splitmix64_outputs(seed + k * 0x9E3779B97F4A7C15, 1)[0]
+
+
 def test_scalar_and_batch_agree():
     rng = SlotRng(1234)
     batch = rng.uniform_at(np.arange(100, dtype=np.uint64))
