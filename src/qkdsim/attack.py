@@ -187,17 +187,10 @@ class AttackPlan:
         return parity
 
     def _attacked_parity(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Parity at offsets `j` of cycles `k`, were they attacked.  Most
-        slots lie in the blinding, so its piece is evaluated everywhere
-        (one slot back it gives the first slot's parity too), and the
-        table is searched only for slots from a window onward."""
-        entry = self.entry_parity[k]
-        parity = self._piece_parity(j, entry, 1)
-        late = np.flatnonzero(j >= self._offsets[PORT2, 2])
-        row = self.targets[k[late]] * np.int64(self.cfg.cycle_slots + 1)
-        i = np.searchsorted(self._row_starts, row + j[late], side="right") - 1
-        parity[late] = self._piece_parity(j[late], entry[late], i)
-        return parity
+        """Parity at offsets `j` of cycles `k`, were they attacked."""
+        row = self.targets[k] * np.int64(self.cfg.cycle_slots + 1)
+        i = np.searchsorted(self._row_starts, row + j, side="right") - 1
+        return self._piece_parity(j, self.entry_parity[k], i)
 
     def pattern(self, lo: int, hi: int):
         """Pieces of [lo, hi) and how the phase difference runs over each

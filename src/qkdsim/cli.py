@@ -92,7 +92,7 @@ def resolve_config(args) -> ScenarioConfig:
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(args.config, f"cannot read scenario file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(args.config, f"invalid JSON: {exc}") from exc

@@ -15,17 +15,17 @@ dead time latches the output high without a rising edge, so the detector
 moves to Blinded silently; any bright slot also cancels a pending dead
 time for the same reason.
 
-`simulate_block` is the detector stage the engine runs, over a chunk of
-slots at a time, without visiting every slot.  Bright light enters it as
-latched spans (`latched_spans`): the first and last bright slot of each
-maximal group of bright slots whose gaps are at most `recovery_slots`,
-built from runs of bright slots that the engine mostly takes from the
-cycle plan in closed form.  The detector is latched inside a span and
-recovered `recovery_slots` after its end, so the live dim slots run from
-there to the next span's start, and a span's first slot is a
-rising-edge candidate when the previous span ended more than
-`recovery_slots` before it.  It is also given, for each piece of constant
-light, the incident levels its slots can show.
+`simulate_block` is the detector stage the engine runs, for one
+detector over a chunk of slots at a time, without visiting every slot.
+Bright light enters it as latched spans (`latched_spans`): the first and
+last bright slot of each maximal group of bright slots whose gaps are at
+most `recovery_slots`, built from runs of bright slots that the engine
+mostly takes from the cycle plan in closed form.  The detector is
+latched inside a span and recovered `recovery_slots` after its end, so
+the live dim slots run from there to the next span's start, and a span's
+first slot is a rising-edge candidate when the previous span ended more
+than `recovery_slots` before it.  It is also given, for each piece of
+constant light, the incident levels its slots can show.
 
 Dim clicks are drawn as candidates, not slot by slot.  A dim slot whose
 escape probability p > 0 has the level k with 2^-(k+1) < p <= 2^-k
@@ -36,11 +36,11 @@ when its detector's level-k Bernoulli(2^-k) process hits it
 slot's uniform u on the detector stream: a Bernoulli(p) event, whatever
 the slot's piece or chunk.  Only the live slots of each piece are
 searched, at the levels its dim light has, so a run costs its candidates
-and the sub-blocks they lie in; the chain is evaluated once, at the
-union of the candidates over the detectors.  The clicks equal those of
-the slot-by-slot reference state machine in the tests, which follows the
-same definition.  Candidate clicks and rising edges are then resolved for
-dead time (`_resolve`).
+and the sub-blocks they lie in, and the chain is evaluated at the
+candidates only.  The clicks equal those of the slot-by-slot reference
+state machine in the tests, which follows the same definition.
+Candidate clicks and rising edges are then resolved for dead time
+(`_resolve`).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import ClickLog
 from .rng import MAX_LEVEL, SlotRng, bernoulli_hits
 
 PLANCK_J_S = 6.62607015e-34
@@ -162,20 +161,21 @@ def _candidates(rng: SlotRng, k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return hits[(hits >= lo[j]) & (hits < hi[j])]
 
 
-def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray,
-                   piece_levels: np.ndarray, incidents_at, detectors, states,
-                   rngs) -> ClickLog:
-    """Run the detectors over the slots [lo, hi); return their clicks.
+def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, levels: np.ndarray,
+                   incident_at, params: DetectorParams, state: BlockState,
+                   rng: SlotRng) -> np.ndarray:
+    """Run one detector over the slots [lo, hi); return its click slots,
+    sorted.
 
-    Equivalent to stepping each detector's state machine through every
-    slot, given its latched spans `spans[d]` = (starts, ends) in the block
+    Equivalent to stepping the detector's state machine through every
+    slot, given its latched spans `spans` = (starts, ends) in the block
     (spans closer than `recovery_slots` to the one before, or to the block
     before, are joined to it), and the pieces of constant light starting
     at `piece_starts` (the first at `lo`): every dim slot of piece i sees
-    one of detector d's incident means `piece_levels[d][i]`.
-    `incidents_at` maps sorted, distinct slots to the detectors' exact
-    incident means; it is called once, for the candidates.  Candidate
-    clicks and rising edges are then resolved for dead time.
+    one of its incident means `levels[i]`.  `incident_at` maps sorted
+    slots to its exact incident means; it is called once, for the
+    candidates.  Candidate clicks and rising edges are then resolved for
+    dead time.
     """
     # Interval j runs from the end prev[j] of a span (the carried last
     # bright slot for j = 0) to the start of the next (or `hi`).  A dim
@@ -183,52 +183,29 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray,
     # since the last bright one (counting itself), so interval j is live
     # from prev[j] + R.  Its live slots in piece i are candidates of each
     # level that a dim level of the piece has.
-    prevs, cands, cand_levels = [], [], []
-    for (starts, ends), levels, params, state, rng in zip(
-        spans, piece_levels, detectors, states, rngs
-    ):
-        prev = np.concatenate(([state.last_bright], ends))
-        first = np.maximum(prev + params.recovery_slots, lo)
-        stop = np.append(starts, hi)
-        live = first < stop
-        seg_lo, seg_hi, piece = _cut(first[live], stop[live], piece_starts, hi)
-        level = params.level(levels)[piece]
-        found, found_levels = [], []
-        for k in np.unique(level[level >= 0]).tolist():
-            at = (level == k).any(axis=1)
-            hits = _candidates(rng, k, seg_lo[at], seg_hi[at])
-            found.append(hits)
-            found_levels.append(np.full(len(hits), k))
-        prevs.append(prev)
-        cands.append(np.concatenate([seg_lo[:0], *found]))
-        cand_levels.append(np.concatenate([seg_lo[:0], *found_levels]))
+    starts, ends = spans
+    prev = np.concatenate(([state.last_bright], ends))
+    first = np.maximum(prev + params.recovery_slots, lo)
+    stop = np.append(starts, hi)
+    live = first < stop
+    seg_lo, seg_hi, piece = _cut(first[live], stop[live], piece_starts, hi)
+    level = params.level(levels)[piece]
+    cand, cand_level = [seg_lo[:0]], [seg_lo[:0]]
+    for k in np.unique(level[level >= 0]).tolist():
+        at = (level == k).any(axis=1)
+        cand.append(_candidates(rng, k, seg_lo[at], seg_hi[at]))
+        cand_level.append(np.full(len(cand[-1]), k))
+    cand, k = np.concatenate(cand), np.concatenate(cand_level)
+    order = np.argsort(cand, kind="stable")
+    cand, k = cand[order], k[order]
 
-    # The chain once, at the union of the candidates.  The detectors'
-    # candidates are merged by a stable sort; `rank` finds each in the union.
-    joined = np.concatenate(cands)
-    order = np.argsort(joined, kind="stable")
-    merged = joined[order]
-    new = np.concatenate(([True], merged[1:] != merged[:-1]))[:len(merged)]
-    rank = np.empty(len(joined), dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    if len(merged):
-        incidents = incidents_at(merged[new])
-    clicks, stop = [], 0
-    for d, ((starts, _), prev, cand, k, params, state, rng) in enumerate(
-        zip(spans, prevs, cands, cand_levels, detectors, states, rngs)
-    ):
-        if len(cand):
-            # A candidate of level k clicks if k is its own escape
-            # probability's level and u 2^-k < p: Bernoulli(p) in all.
-            incident = incidents[d][rank[stop:stop + len(cand)]]
-            p = params.escape(incident)
-            take = (params.level(incident) == k) & (np.ldexp(rng.uniform_at(cand), -k) < p)
-            dim = np.sort(cand[take])
-        else:
-            dim = cand
-        stop += len(cand)
-        clicks.append(_resolve(dim, starts, prev, params, state))
-    return ClickLog.merge(clicks)
+    # A candidate of level k clicks if k is its own escape probability's
+    # level and u 2^-k < p: Bernoulli(p) in all.  A slot that is a
+    # candidate at both of its piece's levels passes at one at most.
+    incident = incident_at(cand)
+    p = params.escape(incident)
+    take = (params.level(incident) == k) & (np.ldexp(rng.uniform_at(cand), -k) < p)
+    return _resolve(cand[take], starts, prev, params, state)
 
 
 def _resolve(dim, starts, prev, params: DetectorParams, state: BlockState) -> np.ndarray:
@@ -302,9 +279,8 @@ def count_rate_sweep(
         lo, hi = j * slots_per_point, (j + 1) * slots_per_point
         span = np.array([lo, hi - 1] if power >= params.blind_threshold_photons else [], np.int64)
         clicks = simulate_block(
-            lo, hi, [(span[:1], span[1:])], np.array([lo]),
-            [[[float(power)]]], lambda s: [np.full(len(s), float(power))], [params],
-            [BlockState()], [rng],
+            lo, hi, (span[:1], span[1:]), np.array([lo]), np.array([[float(power)]]),
+            lambda s: np.full(len(s), float(power)), params, BlockState(), rng,
         )
         results.append((float(power), clock_hz * len(clicks) / slots_per_point))
     return results

@@ -2,21 +2,23 @@
 
 The link is an index-addressed chain (`optics.OpticalChain`): source or
 attack fields (`protocol.AliceSource`, `attack.AttackPlan`) -> band-pass
-filter -> interferometer -> couplers, evaluated at any sorted, distinct
-slots, each slot's predecessor evaluated with it rather than carried.
-Each chunk of slots is split into pieces of constant light with known
-incident levels, at the boundaries of the source's phase-difference
-pattern.  Where that pattern is closed form (an attacked cycle, or
-Alice's 0, pi alternation) and free of phase flips, a patterned piece's
-bright slots are a run of step 1 or 2, read off its levels; only
-per-slot pieces with a level at some blinding threshold (bright honest
-light, or attacks with phase flips) are evaluated slot by slot.  Each
-detector's runs are merged into latched spans
-(`detector.latched_spans`), and the detector stage
-(`detector.simulate_block`) draws candidate clicks among the live dim
-slots between spans and evaluates the chain once, at the candidates.
-The merged click log is sifted once (`protocol.sift`) and reduced to
-metrics.  Only the detectors' state carries from chunk to chunk, and
+filter -> interferometer -> couplers, evaluated at any slots, each
+slot's predecessor evaluated with it rather than carried.
+Each chunk of slots is split into pieces of constant light, at the
+boundaries of the source's phase-difference pattern, each with the two
+incident levels per detector that its slots show (`optics.Pieces`).
+Where that pattern is closed form (an attacked cycle, or Alice's 0, pi
+alternation) and free of phase flips, a patterned piece's bright slots
+are a run of step 1 or 2, read off its levels; only per-slot pieces with
+a level at some blinding threshold (bright honest light, or attacks with
+phase flips) are evaluated slot by slot.  Each detector's runs are
+merged into latched spans (`detector.latched_spans`), and the detector
+stage (`detector.simulate_block`), called once per detector and chunk,
+draws that detector's candidate clicks among the live dim slots between
+its spans and evaluates the chain at them.  Each detector's clicks are
+kept apart until the run ends; they are then merged into one click log
+(`protocol.ClickLog.merge`), sifted once (`protocol.sift`) and reduced
+to metrics.  Only the detectors' state carries from chunk to chunk, and
 every random draw is counter-based (see `rng`), so the click log and
 metrics are byte-identical for a given config regardless of chunking.
 
@@ -63,7 +65,7 @@ import numpy as np
 
 from .attack import AttackConfig, AttackPlan, eve_outcome, validate_against_detectors
 from .detector import BlockState, DetectorParams, latched_spans, simulate_block, slot_ranges
-from .optics import ALTERNATING, PER_SLOT, BandpassFilter, CouplerModel, OpticalChain, Pieces
+from .optics import BandpassFilter, CouplerModel, OpticalChain, Pieces
 from .protocol import (
     AliceSource,
     ClickLog,
@@ -253,28 +255,20 @@ def _lit_offsets(pieces: Pieces, detectors):
     """(even, odd, hot): whether detector d shows a bright level at the
     even and at the odd offsets of patterned piece i ([d, i], False in
     per-slot pieces), and whether per-slot piece i has a bright level at
-    some detector ([i]).  Even offsets of a patterned piece show its first
-    difference; odd ones the other if it alternates, the same if not."""
+    some detector ([i])."""
     thresholds = np.array([d.blind_threshold_photons for d in detectors])
-    lit = pieces.levels >= thresholds[:, None, None]  # [d, i, difference]
-    if not lit.any():
-        none = np.zeros(lit.shape[:2], dtype=bool)
-        return none, none, none[0]
-    patterned = pieces.kind != PER_SLOT
-    i = np.arange(len(pieces.starts))
-    even = lit[:, i, pieces.diff] & patterned
-    odd = lit[:, i, pieces.diff ^ (pieces.kind == ALTERNATING)] & patterned
-    return even, odd, ~patterned & lit.any(axis=(0, 2))
+    lit = pieces.levels >= thresholds[:, None, None]  # [d, i, offset parity]
+    patterned = ~pieces.per_slot
+    return lit[..., 0] & patterned, lit[..., 1] & patterned, pieces.per_slot & lit.any(axis=(0, 2))
 
 
 def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> list:
     """Each detector's latched spans (starts, ends) in [pieces.starts[0], hi).
 
     A patterned piece's bright slots for a detector are read off its two
-    levels: slot start + t shows the difference diff ^ (t & 1) in an
-    alternating piece and diff in a constant one, so they form one run of
-    step 1 (both differences lit) or 2 (one lit), or none.  Per-slot
-    pieces with a level at some threshold are evaluated slot by slot.
+    levels: slot start + t shows its level t & 1, so they form one run of
+    step 1 (both lit) or 2 (one lit), or none.  Per-slot pieces with a
+    level at some threshold are evaluated slot by slot.
     """
     empty = np.empty(0, dtype=np.int64)
     even, odd, hot = _lit_offsets(pieces, detectors)
@@ -325,15 +319,16 @@ def _work(pieces: Pieces, detectors):
 
 
 def _slice(pieces: Pieces, lo: int, hi: int) -> Pieces:
-    """The pieces of [lo, hi) out of `pieces`, which cover it; an
-    alternating piece cut at `lo` starts on the difference it shows there."""
+    """The pieces of [lo, hi) out of `pieces`, which cover it; a piece cut
+    at an odd offset swaps its even and odd levels."""
     i = np.searchsorted(pieces.starts, lo, side="right") - 1
     j = np.searchsorted(pieces.starts, hi)
-    starts, diff = pieces.starts[i:j].copy(), pieces.diff[i:j].copy()
-    kind = pieces.kind[i:j]
-    diff[0] ^= (lo - starts[0]) & (kind[0] == ALTERNATING)
+    starts, levels = pieces.starts[i:j].copy(), pieces.levels[:, i:j]
+    if (lo - starts[0]) & 1:
+        levels = levels.copy()
+        levels[:, 0] = pieces.levels[:, i, ::-1]
     starts[0] = lo
-    return Pieces(starts, pieces.levels[:, i:j], diff, kind)
+    return Pieces(starts, levels, pieces.per_slot[i:j])
 
 
 def _joined(parts: list) -> Pieces:
@@ -404,14 +399,17 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
 
     det_states = [BlockState() for _ in range(4)]
-    logs = []
+    clicks = [[] for _ in range(4)]
     lo, hi = 0, cfg.n_slots
     try:
         for lo, hi, pieces in chunks(chain, cfg.n_slots, cfg.detectors):
-            logs.append(simulate_block(
-                lo, hi, bright_spans(chain, pieces, hi, cfg.detectors), pieces.starts,
-                pieces.levels, chain.incidents_at, cfg.detectors, det_states, streams.detectors,
-            ))
+            spans = bright_spans(chain, pieces, hi, cfg.detectors)
+            for d, params in enumerate(cfg.detectors):
+                clicks[d].append(simulate_block(
+                    lo, hi, spans[d], pieces.starts, pieces.levels[d],
+                    lambda slots, d=d: chain.incidents_at(slots)[d], params, det_states[d],
+                    streams.detectors[d],
+                ))
             # `chunks` cuts the next chunk while the loop asks for it: a
             # failure there lies in the slots not yet simulated.
             lo, hi = hi, cfg.n_slots
@@ -420,7 +418,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
             f"scenario failed while simulating slots [{lo}, {hi}): {exc}"
         ) from exc
 
-    log = ClickLog.concat(logs)
+    log = ClickLog.merge([np.concatenate(c) for c in clicks])
     return log, compute_metrics(cfg, sift(log, alice.key_bits_at), log)
 
 

@@ -7,17 +7,15 @@ phase parity and wavelength as one value per slot.  All light is carried
 as a mean photon number per slot; Poisson statistics enter only at the
 detectors.
 
-`OpticalChain` is addressed by slot index: it evaluates the source once
-at each distinct slot among the requested slots and their predecessors
-(slot 0's is vacuum), and maps them to the four detectors' incident
-means, with no state carried from slot to slot.  The source also
-describes its light in closed form (`pattern`): pieces over which a slot
-and its predecessor carry the same light and the phase difference is
-constant, alternates, or is drawn per slot.  Every slot of a piece then
-shows one of two levels per detector, one per phase difference, so
-`pieces` gives the levels of a whole slot range from two evaluations,
-and says which difference each slot of a patterned piece shows without
-evaluating it.
+`OpticalChain` is addressed by slot index: it evaluates the source at
+the requested slots and at their predecessors (slot 0's is vacuum), and
+maps them to the four detectors' incident means, with no state carried
+from slot to slot.  The source also describes its light in closed form
+(`pattern`): pieces over which a slot and its predecessor carry the same
+light and the phase difference is constant, alternates, or is drawn per
+slot.  `pieces` gives each piece two levels per detector from two
+evaluations: the levels its even and its odd offsets show, or, where the
+difference is drawn per slot, the two levels any of its slots may show.
 """
 
 from __future__ import annotations
@@ -119,11 +117,10 @@ class Pieces(NamedTuple):
     """A slot range split into pieces of constant light (see
     `OpticalChain.pieces`)."""
 
-    starts: np.ndarray  # first slot of each piece, the first at the range's start
-    levels: np.ndarray  # [d, i, 2]: detector d+1's incident mean at difference 0, pi
-                        # (a CONSTANT piece's at its one difference, twice)
-    diff: np.ndarray    # phase difference (0 or 1) of each piece's first slot
-    kind: np.ndarray    # CONSTANT, ALTERNATING or PER_SLOT
+    starts: np.ndarray    # first slot of each piece, the first at the range's start
+    levels: np.ndarray    # [d, i, 2]: detector d+1's incident mean at the even and
+                          # the odd offsets of piece i, or the two it may show per slot
+    per_slot: np.ndarray  # whether piece i's phase difference is drawn per slot
 
 
 @dataclass(frozen=True)
@@ -140,33 +137,23 @@ class OpticalChain:
     flip_rng: object
 
     def _fields(self, slots: np.ndarray):
-        """(mean, mean_prev, dparity, wavelength) at sorted, distinct
-        `slots`: the filtered mean of each slot and of its predecessor, and
-        their phase parity difference before phase flips.  The source is
-        evaluated once per distinct slot: at the slots, and at the
-        predecessors that are not the slot before in `slots`; slot 0
-        interferes with vacuum."""
+        """(mean, mean_prev, dparity, wavelength) at `slots`: the filtered
+        mean of each slot and of its predecessor, and their phase parity
+        difference before phase flips.  Slot 0 interferes with vacuum: its
+        predecessor is evaluated at slot 0 itself and its mean set to 0."""
         n = len(slots)
-        # Positions whose predecessor is not the slot before in `slots`
-        # (slot 0's is vacuum); only those predecessors are evaluated apart.
-        apart = np.flatnonzero(slots[1:] - 1 != slots[:-1]) + 1
-        if n and slots[0] != 0:
-            apart = np.concatenate(([0], apart))
         mean, parity, lam = self.source.channel_fields(
-            np.concatenate((slots, slots[apart] - 1)))
+            np.concatenate((slots, slots - 1 + (slots == 0))))
         mean = self.bandpass.apply(mean, lam)
-        mean_prev, dparity = np.zeros(n), np.zeros(n, dtype=parity.dtype)
-        mean_prev[1:], dparity[1:] = mean[:n - 1], parity[:n - 1]
-        mean_prev[apart], dparity[apart] = mean[n:], parity[n:]
-        dparity ^= parity[:n]
-        return mean[:n], mean_prev, dparity, lam[:n]
+        mean_prev = np.where(slots == 0, 0.0, mean[n:])
+        return mean[:n], mean_prev, parity[:n] ^ parity[n:], lam[:n]
 
     def _incidents(self, mean, mean_prev, dparity, lam):
         port1, port2 = mzi_ports(mean, 1.0 - 2.0 * dparity, mean_prev)
         return (*self.coupler.split(port1, lam), *self.coupler.split(port2, lam))
 
     def incidents_at(self, slots: np.ndarray):
-        """The four detectors' incident means at sorted, distinct `slots`."""
+        """The four detectors' incident means at `slots`."""
         mean, mean_prev, dparity, lam = self._fields(slots)
         if self.phase_flip_prob > 0.0:
             dparity ^= self.flip_rng.uniform_at(slots) < self.phase_flip_prob
@@ -176,14 +163,13 @@ class OpticalChain:
         """Split [lo, hi) at the source's pattern boundaries.  The source
         splits wherever a slot's light or its predecessor's changes, so
         every slot of a piece shows one of the piece's two levels per
-        detector; in a CONSTANT or ALTERNATING piece, slot start + t shows
-        the phase difference diff ^ (t & 1 if alternating).  Phase flips
-        make every piece PER_SLOT."""
+        detector: slot start + t of a constant or alternating piece shows
+        its level t & 1.  Phase flips make every piece per-slot."""
         starts, kind = self.source.pattern(lo, hi)
         if self.phase_flip_prob > 0.0:
             kind = np.full_like(kind, PER_SLOT)
         mean, mean_prev, dparity, lam = (v[:, None] for v in self._fields(starts))
-        # A constant piece shows one difference: its level, twice.
-        shown = np.where(kind[:, None] == CONSTANT, dparity, np.array([[0, 1]], dtype=np.uint8))
-        levels = self._incidents(mean, mean_prev, shown, lam)
-        return Pieces(starts, np.stack(levels), dparity[:, 0], kind)
+        # Odd offsets show the other difference unless the piece is constant.
+        shown = dparity ^ (np.array([[0, 1]], dtype=np.uint8) & (kind[:, None] != CONSTANT))
+        levels = np.stack(self._incidents(mean, mean_prev, shown, lam))
+        return Pieces(starts, levels, kind == PER_SLOT)

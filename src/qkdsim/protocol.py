@@ -107,12 +107,6 @@ class ClickLog:
         order = np.lexsort((dets, slots))
         return cls(slots=slots[order], detector_ids=dets[order])
 
-    @classmethod
-    def concat(cls, logs) -> "ClickLog":
-        """One log from the logs of consecutive, disjoint slot ranges."""
-        return cls(slots=np.concatenate([log.slots for log in logs]),
-                   detector_ids=np.concatenate([log.detector_ids for log in logs]))
-
     def counts_per_detector(self) -> tuple[int, int, int, int]:
         return tuple(int(np.count_nonzero(self.detector_ids == d)) for d in (1, 2, 3, 4))
 

@@ -129,6 +129,15 @@ class TestRunCommand:
         assert err.startswith(f"error: cannot write {tmp_path / out}: ")
         assert err.count("\n") == 1
 
+    def test_undecodable_config_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")  # {} in UTF-16 with a byte-order mark
+        code = run_cli("explain", "--config", str(bad))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: cannot read scenario file: ")
+        assert err.count("\n") == 1
+
     def test_unknown_config_key_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"coupler": {"bend_radius": 3}}')

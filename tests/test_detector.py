@@ -44,11 +44,10 @@ def dense_block(incident, base, par, state, rng):
     bright = base + np.flatnonzero(incident >= par.blind_threshold_photons)
     spans = latched_spans(bright, bright, np.ones_like(bright), par.recovery_slots)
     levels = np.unique(np.append(incident, 0.0))[None, :]
-    log = simulate_block(
-        base, base + len(incident), [spans], np.array([base]), [levels],
-        lambda slots: [incident[slots - base]], [par], [state], [rng],
+    return simulate_block(
+        base, base + len(incident), spans, np.array([base]), levels,
+        lambda slots: incident[slots - base], par, state, rng,
     )
-    return log.slots
 
 
 class TestParamsValidation:

@@ -204,17 +204,17 @@ def test_failure_names_the_chunk_that_failed(monkeypatch):
     calls = []
     simulate_block = engine.simulate_block
 
-    def fail_second(lo, hi, *args):
+    def fail_after_first_chunk(lo, hi, *args):
         calls.append((lo, hi))
-        if len(calls) == 2:
+        if lo > 0:
             raise ValueError("planted")
         return simulate_block(lo, hi, *args)
 
-    monkeypatch.setattr(engine, "simulate_block", fail_second)
+    monkeypatch.setattr(engine, "simulate_block", fail_after_first_chunk)
     monkeypatch.setattr(engine, "CHUNK_SLOTS", 997)
     with pytest.raises(RuntimeError) as err:
         run_scenario(_preset("partial-attack"))
-    lo, hi = calls[1]
+    lo, hi = calls[-1]
     assert hi - lo != engine.CHUNK_SLOTS  # a work-sized chunk
     assert str(err.value) == f"scenario failed while simulating slots [{lo}, {hi}): planted"
 
