@@ -212,19 +212,23 @@ class AttackPlan:
         return (np.concatenate(([lo], starts[inside])),
                 np.concatenate((kind[at_lo:at_lo + 1], kind[inside])))
 
-    def channel_fields(self, slots: np.ndarray):
-        """(mean, parity, wavelength) arrays at the given slot indices, in
-        closed form from the cycle schedule; Alice's source is consulted at
-        the pass-through slots only."""
-        cfg = self.cfg
-        k = slots // cfg.cycle_slots
-        attacked = self.attacked[k]
-        parity = self._attacked_parity(slots - k * cfg.cycle_slots, k)
-        passing = np.flatnonzero(~attacked)
+    def parity_at(self, slots: np.ndarray) -> np.ndarray:
+        """Phase parities at the given slot indices, in closed form from
+        the cycle schedule; Alice's source is consulted at the pass-through
+        slots only."""
+        k = slots // self.cfg.cycle_slots
+        parity = self._attacked_parity(slots - k * self.cfg.cycle_slots, k)
+        passing = np.flatnonzero(~self.attacked[k])
         parity[passing] = self.alice.parity_at(slots[passing])
+        return parity
+
+    def channel_fields(self, slots: np.ndarray):
+        """(mean, parity, wavelength) arrays at the given slot indices."""
+        cfg = self.cfg
+        attacked = self.attacked[slots // cfg.cycle_slots]
         mean = np.where(attacked, cfg.blind_photons_per_slot, self.alice.mean)
         lam = np.where(attacked, cfg.blind_wavelength_nm, self.alice.wavelength_nm)
-        return mean, parity, lam
+        return mean, self.parity_at(slots), lam
 
 
 def validate_against_detectors(cfg: AttackConfig, recovery_slots: int) -> None:

@@ -36,9 +36,11 @@ when its detector's level-k Bernoulli(2^-k) process hits it
 slot's uniform u on the detector stream: a Bernoulli(p) event, whatever
 the slot's piece or chunk.  Only the live slots of each piece are
 searched, at the levels its dim light has, so a run costs its candidates
-and the sub-blocks they lie in, and the chain is evaluated at the
-candidates only.  The clicks equal those of the slot-by-slot reference
-state machine in the tests, which follows the same definition.
+and the sub-blocks they lie in.  A candidate's mean, escape probability
+and level are read from its piece's table; the chain is asked only which
+of the piece's levels the candidate shows.  The clicks equal those of
+the slot-by-slot reference state machine in the tests, which follows the
+same definition.
 Candidate clicks and rising edges are then resolved for dead time
 (`_resolve`).
 """
@@ -162,7 +164,7 @@ def _candidates(rng: SlotRng, k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndar
 
 
 def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, levels: np.ndarray,
-                   incident_at, params: DetectorParams, state: BlockState,
+                   shown_at, params: DetectorParams, state: BlockState,
                    rng: SlotRng) -> np.ndarray:
     """Run one detector over the slots [lo, hi); return its click slots,
     sorted.
@@ -172,10 +174,11 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, levels: np
     (spans closer than `recovery_slots` to the one before, or to the block
     before, are joined to it), and the pieces of constant light starting
     at `piece_starts` (the first at `lo`): every dim slot of piece i sees
-    one of its incident means `levels[i]`.  `incident_at` maps sorted
-    slots to its exact incident means; it is called once, for the
-    candidates.  Candidate clicks and rising edges are then resolved for
-    dead time.
+    one of its incident means `levels[i]`, and `shown_at(slots, piece)`
+    maps sorted slots in the pieces `piece` to the index of the one each
+    shows.  The escape probability and level of each mean are computed
+    once, and `shown_at` is called once, for the candidates.  Candidate
+    clicks and rising edges are then resolved for dead time.
     """
     # Interval j runs from the end prev[j] of a span (the carried last
     # bright slot for j = 0) to the start of the next (or `hi`).  A dim
@@ -189,22 +192,27 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, levels: np
     stop = np.append(starts, hi)
     live = first < stop
     seg_lo, seg_hi, piece = _cut(first[live], stop[live], piece_starts, hi)
-    level = params.level(levels)[piece]
+    level = params.level(levels)
+    # The candidate test u 2^-k < p, as u < p 2^k: both scalings are exact.
+    bound = np.ldexp(params.escape(levels), level).ravel()
+    seg_level = level[piece]
     cand, cand_level = [seg_lo[:0]], [seg_lo[:0]]
-    for k in np.unique(level[level >= 0]).tolist():
-        at = (level == k).any(axis=1)
+    for k in np.unique(seg_level[seg_level >= 0]).tolist():
+        at = (seg_level == k).any(axis=1)
         cand.append(_candidates(rng, k, seg_lo[at], seg_hi[at]))
         cand_level.append(np.full(len(cand[-1]), k))
     cand, k = np.concatenate(cand), np.concatenate(cand_level)
     order = np.argsort(cand, kind="stable")
     cand, k = cand[order], k[order]
 
-    # A candidate of level k clicks if k is its own escape probability's
-    # level and u 2^-k < p: Bernoulli(p) in all.  A slot that is a
-    # candidate at both of its piece's levels passes at one at most.
-    incident = incident_at(cand)
-    p = params.escape(incident)
-    take = (params.level(incident) == k) & (np.ldexp(rng.uniform_at(cand), -k) < p)
+    # A candidate of level k clicks if k is the level of the mean it shows
+    # and u 2^-k < p, that mean's escape probability: Bernoulli(p) in all.
+    # A slot that is a candidate at both of its piece's levels passes at
+    # one at most.
+    piece = np.searchsorted(piece_starts, cand, side="right") - 1
+    at = piece * levels.shape[1] + shown_at(cand, piece)
+    take = level.ravel()[at] == k
+    take &= rng.uniform_at(cand) < bound[at]
     return _resolve(cand[take], starts, prev, params, state)
 
 
@@ -280,7 +288,7 @@ def count_rate_sweep(
         span = np.array([lo, hi - 1] if power >= params.blind_threshold_photons else [], np.int64)
         clicks = simulate_block(
             lo, hi, (span[:1], span[1:]), np.array([lo]), np.array([[float(power)]]),
-            lambda s: np.full(len(s), float(power)), params, BlockState(), rng,
+            lambda s, piece: np.zeros(len(s), np.intp), params, BlockState(), rng,
         )
         results.append((float(power), clock_hz * len(clicks) / slots_per_point))
     return results

@@ -2,8 +2,9 @@
 
 The link is an index-addressed chain (`optics.OpticalChain`): source or
 attack fields (`protocol.AliceSource`, `attack.AttackPlan`) -> band-pass
-filter -> interferometer -> couplers, evaluated at any slots, each
-slot's predecessor evaluated with it rather than carried.
+filter -> interferometer -> couplers, evaluated at the first slot of
+each piece of constant light, its predecessor evaluated with it rather
+than carried.
 Each chunk of slots is split into pieces of constant light, at the
 boundaries of the source's phase-difference pattern, each with the two
 incident levels per detector that its slots show (`optics.Pieces`).
@@ -11,25 +12,29 @@ Where that pattern is closed form (an attacked cycle, or Alice's 0, pi
 alternation) and free of phase flips, a patterned piece's bright slots
 are a run of step 1 or 2, read off its levels; only per-slot pieces with
 a level at some blinding threshold (bright honest light, or attacks with
-phase flips) are evaluated slot by slot.  Each detector's runs are
+phase flips) are looked at slot by slot.  Each detector's runs are
 merged into latched spans (`detector.latched_spans`), and the detector
 stage (`detector.simulate_block`), called once per detector and chunk,
 draws that detector's candidate clicks among the live dim slots between
-its spans and evaluates the chain at them.  Each detector's clicks are
-kept apart until the run ends; they are then merged into one click log
-(`protocol.ClickLog.merge`), sifted once (`protocol.sift`) and reduced
-to metrics.  Only the detectors' state carries from chunk to chunk, and
-every random draw is counter-based (see `rng`), so the click log and
-metrics are byte-identical for a given config regardless of chunking.
+its spans.  A slot's incident mean is never recomputed: it is read from
+its piece's two levels, at the index the chain says it shows
+(`OpticalChain.shown`: the offset parity in a patterned piece, the phase
+difference bit, flips included, in a per-slot piece).  Slots never cross
+a chunk, so each chunk's four click lists are merged into a click log
+(`protocol.ClickLog.merge`) and sifted (`protocol.sift`) on their own;
+the sift results are joined and reduced to metrics.  Only the detectors'
+state carries from chunk to chunk, and every random draw is
+counter-based (see `rng`), so the click log and metrics are
+byte-identical for a given config regardless of chunking.
 
 `CHUNK_SLOTS` is the work budget of a chunk (`chunks`): a chunk ends
-once it holds 2^16 units of expected work, honest or attacked.  Each
+once it holds 2^18 units of expected work, honest or attacked.  Each
 candidate and each sub-block searched for candidates is a unit (about
 4 * 2 * 2^-13 per slot on the stock link, so an honest chunk spans some
-6e7 slots), each slot evaluated one by one is a unit, and each piece
-weighs 8 (`_PIECE_UNITS`).  An attacked cycle without phase flips is
-latched but for its recovery window and a few single slots, so it costs
-its pieces and the rare candidates of its windows.  The pieces are
+2.6e8 slots), each slot looked at one by one weighs 4 (`_SLOT_UNITS`),
+and each piece 32 (`_PIECE_UNITS`).  An attacked cycle without phase
+flips is latched but for its recovery window and a few single slots, so
+it costs its pieces and the rare candidates of its windows.  The pieces are
 evaluated once and handed to the chunks that hold them.
 
 Default calibration
@@ -80,15 +85,23 @@ from .protocol import (
 )
 from .rng import RunStreams, child_seed
 
-CHUNK_SLOTS = 1 << 16
+CHUNK_SLOTS = 1 << 18
 # A piece enters per-detector arrays in both the span builder and the
-# detector stage, so it weighs a unit per detector in each.  Measured on
-# partial-attack at 1e8 slots (seed 3, in process, 2 shared vCPUs): peak
-# RSS 37.0 / 35.7 / 35.2 / 34.6 MB at 1 / 4 / 8 / 16 units, against
-# 33.4 MB before candidate sampling; run time 0.10-0.16 s at 8 and 16,
-# within the machine's noise.  At 16, full-attack at 1e8 slots takes 12
-# chunks instead of 6.
-_PIECE_UNITS = 8.0
+# detector stage, so it weighs several units.  CHUNK_SLOTS / 8192, so an
+# attacked chunk holds as many pieces as at a 2^16 budget and 8 units.
+# Measured on partial-attack at 1e8 slots (seed 3, in process, 2 shared
+# vCPUs) at a 2^18 budget: peak RSS 39.2 / 37.1 / 35.3 / 34.3 MB at
+# 8 / 16 / 32 / 64 units, against 34.6 MB at 2^16 and 8; run time
+# 0.13-0.20 s throughout, within the machine's noise.
+_PIECE_UNITS = 32.0
+# A slot looked at one by one (`bright_spans`) holds some 170 bytes across
+# the chain's per-slot arrays, and gains nothing from a larger chunk, so
+# it weighs CHUNK_SLOTS / 2^16 units: such a chunk holds 2^16 slots, as
+# at a 2^16 budget.  Measured on partial-attack with phase_flip_prob 0.01
+# at 2e7 slots (in process): peak RSS 81.2 MB at 1 unit and 45.5 MB at 4,
+# against 43.4 MB at a 2^16 budget; run time 3.0-3.7 s in all three,
+# within the machine's noise.
+_SLOT_UNITS = 4.0
 _INT_LIMIT = 1 << 62
 
 class ConfigError(ValueError):
@@ -267,8 +280,8 @@ def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> lis
 
     A patterned piece's bright slots for a detector are read off its two
     levels: slot start + t shows its level t & 1, so they form one run of
-    step 1 (both lit) or 2 (one lit), or none.  Per-slot pieces with a
-    level at some threshold are evaluated slot by slot.
+    step 1 (both lit) or 2 (one lit), or none.  In per-slot pieces with a
+    level at some threshold, each slot's level is looked up (`shown`).
     """
     empty = np.empty(0, dtype=np.int64)
     even, odd, hot = _lit_offsets(pieces, detectors)
@@ -280,8 +293,9 @@ def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> lis
     bright = [empty] * len(detectors)
     if hot.any():
         slots = slot_ranges(starts[hot], ends[hot])
-        bright = [slots[inc >= d.blind_threshold_photons]
-                  for inc, d in zip(chain.incidents_at(slots), detectors)]
+        piece = np.repeat(np.flatnonzero(hot), (ends - starts)[hot])
+        incident = pieces.levels[:, piece, chain.shown(pieces, slots, piece)]
+        bright = [slots[inc >= d.blind_threshold_photons] for inc, d in zip(incident, detectors)]
 
     first = np.where(even, starts, starts + 1)
     step = np.where(even & odd, 1, 2)
@@ -301,14 +315,14 @@ def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> lis
 def _work(pieces: Pieces, detectors):
     """The expected work of each piece, as (fixed, rate): `fixed` units
     plus `rate` per slot.  A piece weighs _PIECE_UNITS, and each slot
-    evaluated one by one (`bright_spans`) a unit.  For each detector that
-    may be live in it (not latched throughout by its bright runs), each
-    candidate level k of its dim levels costs its expected candidates and
-    sub-blocks touched: a unit plus 2 * 2^-k per slot."""
+    looked at one by one (`bright_spans`) _SLOT_UNITS.  For each detector
+    that may be live in it (not latched throughout by its bright runs),
+    each candidate level k of its dim levels costs its expected candidates
+    and sub-blocks touched: a unit plus 2 * 2^-k per slot."""
     even, odd, hot = _lit_offsets(pieces, detectors)
     recovery = np.array([d.recovery_slots for d in detectors])[:, None]
     latched = (even & odd) | ((even | odd) & (recovery >= 2))
-    fixed, rate = np.full(len(pieces.starts), _PIECE_UNITS), hot.astype(np.float64)
+    fixed, rate = np.full(len(pieces.starts), _PIECE_UNITS), _SLOT_UNITS * hot
     for d, params in enumerate(detectors):
         k = params.level(pieces.levels[d])
         k[:, 1] = np.where(k[:, 1] == k[:, 0], -1, k[:, 1])  # a level once
@@ -319,12 +333,12 @@ def _work(pieces: Pieces, detectors):
 
 
 def _slice(pieces: Pieces, lo: int, hi: int) -> Pieces:
-    """The pieces of [lo, hi) out of `pieces`, which cover it; a piece cut
-    at an odd offset swaps its even and odd levels."""
+    """The pieces of [lo, hi) out of `pieces`, which cover it; a patterned
+    piece cut at an odd offset swaps its even and odd levels."""
     i = np.searchsorted(pieces.starts, lo, side="right") - 1
     j = np.searchsorted(pieces.starts, hi)
     starts, levels = pieces.starts[i:j].copy(), pieces.levels[:, i:j]
-    if (lo - starts[0]) & 1:
+    if (lo - starts[0]) & 1 and not pieces.per_slot[i]:
         levels = levels.copy()
         levels[:, 0] = pieces.levels[:, i, ::-1]
     starts[0] = lo
@@ -399,17 +413,20 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
 
     det_states = [BlockState() for _ in range(4)]
-    clicks = [[] for _ in range(4)]
+    logs, sifted = [], []
     lo, hi = 0, cfg.n_slots
     try:
         for lo, hi, pieces in chunks(chain, cfg.n_slots, cfg.detectors):
             spans = bright_spans(chain, pieces, hi, cfg.detectors)
-            for d, params in enumerate(cfg.detectors):
-                clicks[d].append(simulate_block(
-                    lo, hi, spans[d], pieces.starts, pieces.levels[d],
-                    lambda slots, d=d: chain.incidents_at(slots)[d], params, det_states[d],
-                    streams.detectors[d],
-                ))
+            shown_at = functools.partial(chain.shown, pieces)
+            # Slots never cross a chunk, so each chunk's clicks are merged
+            # and sifted on their own.
+            logs.append(ClickLog.merge([
+                simulate_block(lo, hi, spans[d], pieces.starts, pieces.levels[d], shown_at,
+                               params, det_states[d], streams.detectors[d])
+                for d, params in enumerate(cfg.detectors)
+            ]))
+            sifted.append(sift(logs[-1], alice.key_bits_at))
             # `chunks` cuts the next chunk while the loop asks for it: a
             # failure there lies in the slots not yet simulated.
             lo, hi = hi, cfg.n_slots
@@ -418,8 +435,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
             f"scenario failed while simulating slots [{lo}, {hi}): {exc}"
         ) from exc
 
-    log = ClickLog.merge([np.concatenate(c) for c in clicks])
-    return log, compute_metrics(cfg, sift(log, alice.key_bits_at), log)
+    log = ClickLog(np.concatenate([g.slots for g in logs]),
+                   np.concatenate([g.detector_ids for g in logs]))
+    return log, compute_metrics(cfg, SiftResult.join(sifted), log)
 
 
 def compute_metrics(cfg: ScenarioConfig, sres: SiftResult, log: ClickLog) -> RunMetrics:

@@ -7,15 +7,16 @@ phase parity and wavelength as one value per slot.  All light is carried
 as a mean photon number per slot; Poisson statistics enter only at the
 detectors.
 
-`OpticalChain` is addressed by slot index: it evaluates the source at
-the requested slots and at their predecessors (slot 0's is vacuum), and
-maps them to the four detectors' incident means, with no state carried
-from slot to slot.  The source also describes its light in closed form
+`OpticalChain` is addressed by slot index, with no state carried from
+slot to slot.  The source describes its light in closed form
 (`pattern`): pieces over which a slot and its predecessor carry the same
 light and the phase difference is constant, alternates, or is drawn per
-slot.  `pieces` gives each piece two levels per detector from two
-evaluations: the levels its even and its odd offsets show, or, where the
-difference is drawn per slot, the two levels any of its slots may show.
+slot.  `pieces` evaluates the source at each piece's first slot and its
+predecessor (slot 0's is vacuum) and gives the piece two levels per
+detector: the levels its even and its odd offsets show, or, where the
+difference is drawn per slot, the levels at difference 0 and pi.
+`shown` tells which of the two a slot shows, so a slot's incident mean
+is read from its piece, never recomputed.
 """
 
 from __future__ import annotations
@@ -119,16 +120,16 @@ class Pieces(NamedTuple):
 
     starts: np.ndarray    # first slot of each piece, the first at the range's start
     levels: np.ndarray    # [d, i, 2]: detector d+1's incident mean at the even and
-                          # the odd offsets of piece i, or the two it may show per slot
+                          # the odd offsets of piece i, or, per slot, at bit 0 and 1
     per_slot: np.ndarray  # whether piece i's phase difference is drawn per slot
 
 
 @dataclass(frozen=True)
 class OpticalChain:
-    """Bob's receiver as a map from slot indices to the four detectors'
-    incident means: source (`protocol.AliceSource` or `attack.AttackPlan`)
-    -> band-pass filter -> interferometer -> couplers.  `flip_rng` draws
-    the phase flips."""
+    """Bob's receiver, source (`protocol.AliceSource` or
+    `attack.AttackPlan`) -> band-pass filter -> interferometer ->
+    couplers, as the four detectors' incident means per piece of constant
+    light.  `flip_rng` draws the phase flips."""
 
     source: object
     bandpass: BandpassFilter
@@ -148,28 +149,44 @@ class OpticalChain:
         mean_prev = np.where(slots == 0, 0.0, mean[n:])
         return mean[:n], mean_prev, parity[:n] ^ parity[n:], lam[:n]
 
-    def _incidents(self, mean, mean_prev, dparity, lam):
-        port1, port2 = mzi_ports(mean, 1.0 - 2.0 * dparity, mean_prev)
-        return (*self.coupler.split(port1, lam), *self.coupler.split(port2, lam))
+    def shown(self, pieces: Pieces, slots: np.ndarray, piece: np.ndarray) -> np.ndarray:
+        """Which of its piece's two levels each of `slots` (sorted, in the
+        pieces `piece`) shows: its offset parity in a patterned piece, and
+        in a per-slot piece its phase-difference bit, flips included, from
+        the source's parities at the slot and its predecessor."""
+        per_slot = pieces.per_slot[piece]
+        if per_slot.all():
+            return self._bits(slots)
+        shown = (slots - pieces.starts[piece]) & 1
+        at = np.flatnonzero(per_slot)
+        shown[at] = self._bits(slots[at])
+        return shown
 
-    def incidents_at(self, slots: np.ndarray):
-        """The four detectors' incident means at `slots`."""
-        mean, mean_prev, dparity, lam = self._fields(slots)
+    def _bits(self, slots: np.ndarray) -> np.ndarray:
+        """The phase-difference bit at `slots`, phase flips included."""
+        parity = self.source.parity_at(np.concatenate((slots, slots - 1 + (slots == 0))))
+        bit = parity[:len(slots)] ^ parity[len(slots):]
         if self.phase_flip_prob > 0.0:
-            dparity ^= self.flip_rng.uniform_at(slots) < self.phase_flip_prob
-        return self._incidents(mean, mean_prev, dparity, lam)
+            bit ^= self.flip_rng.uniform_at(slots) < self.phase_flip_prob
+        return bit
 
     def pieces(self, lo: int, hi: int) -> Pieces:
         """Split [lo, hi) at the source's pattern boundaries.  The source
         splits wherever a slot's light or its predecessor's changes, so
         every slot of a piece shows one of the piece's two levels per
-        detector: slot start + t of a constant or alternating piece shows
-        its level t & 1.  Phase flips make every piece per-slot."""
+        detector (`shown`): slot start + t of a constant or alternating
+        piece shows its level t & 1, a slot of a per-slot piece its level
+        at its phase-difference bit.  Phase flips make every piece
+        per-slot."""
         starts, kind = self.source.pattern(lo, hi)
         if self.phase_flip_prob > 0.0:
             kind = np.full_like(kind, PER_SLOT)
         mean, mean_prev, dparity, lam = (v[:, None] for v in self._fields(starts))
-        # Odd offsets show the other difference unless the piece is constant.
-        shown = dparity ^ (np.array([[0, 1]], dtype=np.uint8) & (kind[:, None] != CONSTANT))
-        levels = np.stack(self._incidents(mean, mean_prev, shown, lam))
+        # Odd offsets show the other difference unless the piece is
+        # constant; a per-slot piece holds the levels at difference 0 and pi.
+        offset = np.array([[0, 1]], dtype=np.uint8)
+        per_slot = kind[:, None] == PER_SLOT
+        shown = np.where(per_slot, offset, dparity ^ (offset & (kind[:, None] != CONSTANT)))
+        port1, port2 = mzi_ports(mean, 1.0 - 2.0 * shown, mean_prev)
+        levels = np.stack((*self.coupler.split(port1, lam), *self.coupler.split(port2, lam)))
         return Pieces(starts, levels, kind == PER_SLOT)

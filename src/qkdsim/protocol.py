@@ -22,7 +22,7 @@ individual-attack bound with the estimated attacked-bit fraction
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .optics import CONSTANT, PER_SLOT
 from .rng import SlotRng
 
 PAIR_DETECTORS = {"A": (1, 2), "B": (3, 4)}
+# Rows of clicks.csv formatted at a time: a block's Python ints take some
+# 7 MB, where the whole log of a long dense run would take tens of MB.
+_CSV_ROWS = 1 << 16
 
 
 class NoDataError(ValueError):
@@ -111,9 +114,13 @@ class ClickLog:
         return tuple(int(np.count_nonzero(self.detector_ids == d)) for d in (1, 2, 3, 4))
 
     def write_csv(self, path) -> None:
-        pairs = np.column_stack((self.slots, self.detector_ids)).ravel().tolist()
+        """Write the log as `slot,detector_id` rows, _CSV_ROWS at a time."""
         with open(path, "w", encoding="utf-8") as f:
-            f.write("slot,detector_id\n" + ("%d,%d\n" * len(self)) % tuple(pairs))
+            f.write("slot,detector_id\n")
+            for i in range(0, len(self), _CSV_ROWS):
+                rows = np.column_stack((self.slots[i:i + _CSV_ROWS],
+                                        self.detector_ids[i:i + _CSV_ROWS]))
+                f.write(("%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 @dataclass
@@ -138,6 +145,21 @@ class SiftResult:
 
     def __len__(self) -> int:
         return len(self.kept_slots)
+
+    @classmethod
+    def join(cls, parts) -> "SiftResult":
+        """One result from the sift results of consecutive, disjoint slot
+        ranges: kept bits and slots concatenated, counts summed."""
+        joined = {}
+        for f in fields(cls):
+            values = [getattr(p, f.name) for p in parts]
+            if isinstance(values[0], np.ndarray):
+                joined[f.name] = np.concatenate(values)
+            elif isinstance(values[0], dict):
+                joined[f.name] = {k: sum(v[k] for v in values) for k in values[0]}
+            else:
+                joined[f.name] = sum(values)
+        return cls(**joined)
 
 
 def sift(log: ClickLog, key_bits_at) -> SiftResult:

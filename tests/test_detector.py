@@ -39,14 +39,16 @@ def dense_block(incident, base, par, state, rng):
     """`simulate_block` for one detector over the slots [base, base +
     len(incident)), given the incident mean of every slot: the latched
     spans of its bright slots, and one piece whose levels are all the
-    means present (plus 0, so an empty block still has one)."""
+    means present (plus 0, so an empty block still has one), each slot
+    showing its own."""
     incident = np.asarray(incident, dtype=np.float64)
     bright = base + np.flatnonzero(incident >= par.blind_threshold_photons)
     spans = latched_spans(bright, bright, np.ones_like(bright), par.recovery_slots)
-    levels = np.unique(np.append(incident, 0.0))[None, :]
+    levels = np.unique(np.append(incident, 0.0))
+    shown = np.searchsorted(levels, incident)
     return simulate_block(
-        base, base + len(incident), spans, np.array([base]), levels,
-        lambda slots: incident[slots - base], par, state, rng,
+        base, base + len(incident), spans, np.array([base]), levels[None, :],
+        lambda slots, piece: shown[slots - base], par, state, rng,
     )
 
 

@@ -171,19 +171,19 @@ def test_per_slot_arrays_stay_within_the_budget(case, monkeypatch):
     budget = 4096
     monkeypatch.setattr(engine, "CHUNK_SLOTS", budget)
     sizes = []
-    raw_at, incidents_at = SlotRng.raw_at, OpticalChain.incidents_at
+    raw_at, shown = SlotRng.raw_at, OpticalChain.shown
 
     def sized_raw_at(self, *args):
         raw = raw_at(self, *args)
         sizes.append(raw.size)
         return raw
 
-    def sized_incidents_at(self, slots):
+    def sized_shown(self, pieces, slots, piece):
         sizes.append(len(slots))
-        return incidents_at(self, slots)
+        return shown(self, pieces, slots, piece)
 
     monkeypatch.setattr(SlotRng, "raw_at", sized_raw_at)
-    monkeypatch.setattr(OpticalChain, "incidents_at", sized_incidents_at)
+    monkeypatch.setattr(OpticalChain, "shown", sized_shown)
     cfg = {**CHUNKING_CASES, **ORACLE_CASES}[case]()
     run_scenario(cfg)
     assert max(sizes) <= budget + cfg.attack.cycle_slots
@@ -299,10 +299,11 @@ def test_engine_matches_dense_oracle(case):
 def test_piece_levels_cover_every_slot(
     mu, loss, efficiency, dark, slope, filter_on, blind, blind_nm, flip, seed, chunk
 ):
-    """The candidate level of every dim slot's exact escape probability is
-    among those of the levels its piece shows, and only pieces with a
-    level at the threshold hold bright slots.  The run covers slot 0 and the first slots of cycles
-    after attacked and after pass-through ones."""
+    """Every slot shows, at the index `OpticalChain.shown` gives, its exact
+    incident mean, bit for bit, whether its chunk's pieces are evaluated
+    for the chunk or cut out of the whole run's (`engine._slice`).  The
+    run covers slot 0 and the first slots of cycles after attacked and
+    after pass-through ones."""
     cfg = ScenarioConfig(
         n_slots=1000,
         mu=mu,
@@ -323,20 +324,37 @@ def test_piece_levels_cover_every_slot(
     assume((~plan.attacked[:-1] & plan.attacked[1:]).any())
     incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
     chain = OpticalChain(plan, cfg.filter, cfg.coupler, flip, streams.flip)
-    own = [params.level(inc) for inc, params in zip(incidents, cfg.detectors)]
+    whole = chain.pieces(0, cfg.n_slots)
     for lo in range(0, cfg.n_slots, chunk):
         hi = min(lo + chunk, cfg.n_slots)
-        pieces = chain.pieces(lo, hi)
-        starts, levels = pieces.starts, pieces.levels
-        piece = np.searchsorted(starts, np.arange(lo, hi), side="right") - 1
-        for d, params in enumerate(cfg.detectors):
-            exact = incidents[d][lo:hi]
-            dim = exact < params.blind_threshold_photons
-            live = np.flatnonzero(own[d][lo:hi] >= 0)
-            got = params.level(levels[d])[piece[live]]
-            assert (got == own[d][lo:hi][live, None]).any(axis=1).all()
-            top = levels[d].max(axis=1)[piece]
-            assert np.all(top[~dim] >= params.blind_threshold_photons)
+        for pieces in (chain.pieces(lo, hi), engine._slice(whole, lo, hi)):
+            _assert_slots_show_their_means(chain, pieces, lo, hi, incidents)
+
+
+def _assert_slots_show_their_means(chain, pieces, lo, hi, incidents):
+    slots = np.arange(lo, hi)
+    piece = np.searchsorted(pieces.starts, slots, side="right") - 1
+    shown = pieces.levels[:, piece, chain.shown(pieces, slots, piece)]
+    for d in range(4):
+        assert np.array_equal(shown[d], incidents[d][lo:hi])
+
+
+@pytest.mark.parametrize("case", ["normal", "flips-under-attack", "odd-window-intercept"])
+def test_pieces_cut_at_odd_offsets_keep_each_slots_level(case):
+    """A chunk cut at an odd offset into a piece: a patterned piece swaps
+    its even and odd levels, and a per-slot piece (honest random phases,
+    or any piece under phase flips) keeps its levels at bit 0 and 1."""
+    cfg = dataclasses.replace(CHUNKING_CASES[case](), n_slots=30_011)
+    streams = RunStreams(cfg.seed)
+    plan, alice = plan_and_source(cfg, streams)
+    source = plan if plan is not None else alice
+    incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
+    chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
+    whole = chain.pieces(0, cfg.n_slots)
+    cuts = np.array([0, 2, 9_993, 19_987, 20_000, cfg.n_slots])
+    assert ((cuts[1:-1] - whole.starts[np.searchsorted(whole.starts, cuts[1:-1]) - 1]) & 1).any()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        _assert_slots_show_their_means(chain, engine._slice(whole, lo, hi), lo, hi, incidents)
 
 
 def _spans_of(bright, recovery):

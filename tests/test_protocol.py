@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdsim import protocol
 from qkdsim.protocol import (
     AliceSource,
     ClickLog,
     KeyRateInputs,
     NoDataError,
+    SiftResult,
     attack_fraction_estimate,
     ccr_estimate,
     ccr_measure,
@@ -329,6 +331,38 @@ def test_click_log_csv_roundtrip(tmp_path):
     back = read_clicks_csv(path)
     assert np.array_equal(back.slots, log.slots)
     assert np.array_equal(back.detector_ids, log.detector_ids)
+
+
+def test_click_log_csv_is_the_same_in_any_block_size(tmp_path, monkeypatch):
+    log = log_of((3, 1), (3, 2), (7, 4), (100, 1), (101, 3))
+    texts = set()
+    for rows in (1, 2, 5, 1 << 16):
+        monkeypatch.setattr(protocol, "_CSV_ROWS", rows)
+        log.write_csv(tmp_path / "clicks.csv")
+        texts.add((tmp_path / "clicks.csv").read_text())
+    assert texts == {"slot,detector_id\n3,1\n3,2\n7,4\n100,1\n101,3\n"}
+
+
+def test_sift_results_of_disjoint_ranges_join_to_the_whole():
+    """Sifting a log in pieces cut between slots and joining the results
+    gives the sift of the whole log, counts and kept bits alike."""
+    rng = np.random.default_rng(5)
+    parities = rng.integers(0, 2, 400)
+    clicks = {(int(s), int(d)) for s, d in zip(rng.integers(0, 400, 300), rng.integers(1, 5, 300))}
+    log = log_of(*clicks)
+    whole = sift(log, record(parities))
+    parts = []
+    for lo, hi in ((0, 1), (1, 97), (97, 98), (98, 400)):
+        part = (log.slots >= lo) & (log.slots < hi)
+        parts.append(sift(ClickLog(log.slots[part], log.detector_ids[part]), record(parities)))
+    joined = SiftResult.join(parts)
+    assert whole.coincidence_counts["A"] and whole.discarded_multiport and whole.slot0_clicks
+    for name, value in vars(whole).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(joined, name), value)
+            assert getattr(joined, name).dtype == value.dtype
+        else:
+            assert getattr(joined, name) == value
 
 
 def test_click_log_ordering():
