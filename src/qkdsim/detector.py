@@ -88,15 +88,16 @@ class DetectorParams:
         return 1.0 - (1.0 - self.dark_prob_per_slot) * np.exp(-incident * self.efficiency)
 
     def level(self, incident):
-        """The candidate level of each incident mean (see `simulate_block`):
-        the k in [0, MAX_LEVEL] with 2^-(k+1) < p <= 2^-k for its escape
-        probability p, or the highest; -1 where the light is bright or
-        p = 0, so the slot cannot click as a dim slot."""
+        """(k, p): the candidate level of each incident mean (see
+        `simulate_block`) and its escape probability p.  k is the one in
+        [0, MAX_LEVEL] with 2^-(k+1) < p <= 2^-k, or the highest; -1 where
+        the light is bright or p = 0, so the slot cannot click as a dim
+        slot."""
         incident = np.asarray(incident, dtype=np.float64)
         p = self.escape(incident)
         mantissa, exponent = np.frexp(p)
         k = np.minimum((mantissa == 0.5) - exponent, MAX_LEVEL)
-        return np.where((incident < self.blind_threshold_photons) & (p > 0.0), k, -1)
+        return np.where((incident < self.blind_threshold_photons) & (p > 0.0), k, -1), p
 
 
 @dataclass
@@ -192,12 +193,14 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, levels: np
     stop = np.append(starts, hi)
     live = first < stop
     seg_lo, seg_hi, piece = _cut(first[live], stop[live], piece_starts, hi)
-    level = params.level(levels)
+    level, p = params.level(levels)
     # The candidate test u 2^-k < p, as u < p 2^k: both scalings are exact.
-    bound = np.ldexp(params.escape(levels), level).ravel()
+    bound = np.ldexp(p, level).ravel()
     seg_level = level[piece]
     cand, cand_level = [seg_lo[:0]], [seg_lo[:0]]
-    for k in np.unique(seg_level[seg_level >= 0]).tolist():
+    # The levels present, by counts over [0, MAX_LEVEL].  Not np.unique: its
+    # first call imports numpy.ma, which would take most of a short run.
+    for k in np.flatnonzero(np.bincount(seg_level[seg_level >= 0])).tolist():
         at = (seg_level == k).any(axis=1)
         cand.append(_candidates(rng, k, seg_lo[at], seg_hi[at]))
         cand_level.append(np.full(len(cand[-1]), k))

@@ -21,11 +21,16 @@ its piece's two levels, at the index the chain says it shows
 (`OpticalChain.shown`: the offset parity in a patterned piece, the phase
 difference bit, flips included, in a per-slot piece).  Slots never cross
 a chunk, so each chunk's four click lists are merged into a click log
-(`protocol.ClickLog.merge`) and sifted (`protocol.sift`) on their own;
-the sift results are joined and reduced to metrics.  Only the detectors'
-state carries from chunk to chunk, and every random draw is
-counter-based (see `rng`), so the click log and metrics are
-byte-identical for a given config regardless of chunking.
+(`protocol.ClickLog.merge`) and sifted (`protocol.sift`) on their own,
+and appended in place to the run's log and sift result (`protocol.grow`),
+so each click is held once; the sift result is reduced to metrics.  Only
+the detectors' state carries from chunk to chunk, and every random draw
+is counter-based (see `rng`), so the click log and metrics are
+byte-identical for a given config regardless of chunking.  A run imports
+no module beyond `import qkdsim`: the first `np.unique` of a process
+imports `numpy.ma` (11-18 ms), more than the whole simulation of a short
+honest run, so distinct values are found by counts or adjacent
+differences instead.
 
 `CHUNK_SLOTS` is the work budget of a chunk (`chunks`): a chunk ends
 once it holds 2^18 units of expected work, honest or attacked.  Each
@@ -79,6 +84,7 @@ from .protocol import (
     attack_fraction_estimate,
     ccr_estimate,
     ccr_measure,
+    grow,
     qber,
     secure_key_length,
     sift,
@@ -324,7 +330,7 @@ def _work(pieces: Pieces, detectors):
     latched = (even & odd) | ((even | odd) & (recovery >= 2))
     fixed, rate = np.full(len(pieces.starts), _PIECE_UNITS), _SLOT_UNITS * hot
     for d, params in enumerate(detectors):
-        k = params.level(pieces.levels[d])
+        k, _ = params.level(pieces.levels[d])
         k[:, 1] = np.where(k[:, 1] == k[:, 0], -1, k[:, 1])  # a level once
         live = (k >= 0) & ~latched[d][:, None]
         fixed += live.sum(axis=1)
@@ -379,7 +385,11 @@ def chunks(chain: OpticalChain, n_slots: int, detectors):
         before = total[i] - fixed[i] - rate[i] * length[i]
         into = np.ceil((due - before - fixed[i]) / np.maximum(rate[i], 1e-300))
         cuts = pieces.starts[i] + np.clip(into, 0, length[i]).astype(np.int64)
-        for cut in np.unique(cuts[cuts > lo]).tolist():
+        # The cuts are non-decreasing (`due` rises, and each cut lies in its
+        # piece), so dropping repeats needs no sort.  Not np.unique: its
+        # first call imports numpy.ma, which would take most of a short run.
+        cuts = cuts[cuts > lo]
+        for cut in cuts[np.diff(cuts, prepend=lo) > 0].tolist():
             yield lo, cut, _joined([*held, _slice(pieces, max(lo, a), cut)])
             lo, held = cut, []
         if lo < b:
@@ -413,20 +423,22 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
 
     det_states = [BlockState() for _ in range(4)]
-    logs, sifted = [], []
+    slots, dets, sres = np.empty(0, np.int64), np.empty(0, np.int8), SiftResult()
     lo, hi = 0, cfg.n_slots
     try:
         for lo, hi, pieces in chunks(chain, cfg.n_slots, cfg.detectors):
             spans = bright_spans(chain, pieces, hi, cfg.detectors)
             shown_at = functools.partial(chain.shown, pieces)
             # Slots never cross a chunk, so each chunk's clicks are merged
-            # and sifted on their own.
-            logs.append(ClickLog.merge([
+            # and sifted on their own, and appended to the run's.
+            part = ClickLog.merge([
                 simulate_block(lo, hi, spans[d], pieces.starts, pieces.levels[d], shown_at,
                                params, det_states[d], streams.detectors[d])
                 for d, params in enumerate(cfg.detectors)
-            ]))
-            sifted.append(sift(logs[-1], alice.key_bits_at))
+            ])
+            sres.add(sift(part, alice.key_bits_at))
+            grow(slots, part.slots)
+            grow(dets, part.detector_ids)
             # `chunks` cuts the next chunk while the loop asks for it: a
             # failure there lies in the slots not yet simulated.
             lo, hi = hi, cfg.n_slots
@@ -435,9 +447,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
             f"scenario failed while simulating slots [{lo}, {hi}): {exc}"
         ) from exc
 
-    log = ClickLog(np.concatenate([g.slots for g in logs]),
-                   np.concatenate([g.detector_ids for g in logs]))
-    return log, compute_metrics(cfg, SiftResult.join(sifted), log)
+    log = ClickLog(slots, dets)
+    return log, compute_metrics(cfg, sres, log)
 
 
 def compute_metrics(cfg: ScenarioConfig, sres: SiftResult, log: ClickLog) -> RunMetrics:

@@ -146,20 +146,29 @@ class SiftResult:
     def __len__(self) -> int:
         return len(self.kept_slots)
 
-    @classmethod
-    def join(cls, parts) -> "SiftResult":
-        """One result from the sift results of consecutive, disjoint slot
-        ranges: kept bits and slots concatenated, counts summed."""
-        joined = {}
-        for f in fields(cls):
-            values = [getattr(p, f.name) for p in parts]
-            if isinstance(values[0], np.ndarray):
-                joined[f.name] = np.concatenate(values)
-            elif isinstance(values[0], dict):
-                joined[f.name] = {k: sum(v[k] for v in values) for k in values[0]}
+    def add(self, part: "SiftResult") -> None:
+        """Append the sift result of the next disjoint slot range to this
+        one, which only `add` has filled: kept bits and slots extended in
+        place (`grow`), counts summed."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(part, f.name)
+            if isinstance(mine, np.ndarray):
+                grow(mine, theirs)
+            elif isinstance(mine, dict):
+                for key in mine:
+                    mine[key] += theirs[key]
             else:
-                joined[f.name] = sum(values)
-        return cls(**joined)
+                setattr(self, f.name, mine + theirs)
+
+
+def grow(into: np.ndarray, part: np.ndarray) -> None:
+    """`into` extended in place by `part`; `into` must own its data and
+    have no views.  realloc moves a large block by remapping its pages,
+    not by copying them, so a run's clicks are held once, where a join of
+    every chunk's parts at the end held them twice."""
+    n = len(into)
+    into.resize(n + len(part), refcheck=False)
+    into[n:] = part
 
 
 def sift(log: ClickLog, key_bits_at) -> SiftResult:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -354,3 +358,42 @@ def test_presets_cover_the_three_scenarios():
 def test_parser_rejects_missing_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+# Runs in a fresh interpreter: earlier tests of this process may have
+# imported anything.  The first `explain` builds the argument parser, whose
+# gettext imports `locale`; what is imported after it is the runs' own.
+_IMPORTS_OF_A_RUN = """
+import contextlib, io, json, sys
+from qkdsim import cli
+
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    cli.main(["explain", "--preset", "normal"])
+    loaded = set(sys.modules)
+    runs = [["--preset", p] for p in ("normal", "full-attack", "partial-attack")]
+    runs.append(["--preset", "partial-attack", "--set", "phase_flip_prob=0.01"])
+    for i, run in enumerate(runs):
+        assert cli.main(["run", *run, "--slots", "300000", "--emit-clicks",
+                         "--out", f"{out}/{i}"]) == 0
+    assert cli.main(["sweep-power", "--preset", "normal", "--points", "3",
+                     "--out-csv", f"{out}/sweep.csv"]) == 0
+print(json.dumps(sorted(set(sys.modules) - loaded)))
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+
+
+def test_a_run_imports_no_module(tmp_path):
+    """`qkdsim run` on every preset, per-slot pieces included, and
+    `sweep-power` import nothing beyond `import qkdsim` and the argument
+    parser: a lazy import (numpy.ma, which np.unique pulls in) costs more
+    than a short run's simulation."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_OF_A_RUN, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, numpy_ma = map(json.loads, proc.stdout.splitlines())
+    assert imported == []
+    assert numpy_ma is False

@@ -355,7 +355,9 @@ def test_sift_results_of_disjoint_ranges_join_to_the_whole():
     for lo, hi in ((0, 1), (1, 97), (97, 98), (98, 400)):
         part = (log.slots >= lo) & (log.slots < hi)
         parts.append(sift(ClickLog(log.slots[part], log.detector_ids[part]), record(parities)))
-    joined = SiftResult.join(parts)
+    joined = SiftResult()
+    for part in parts:
+        joined.add(part)
     assert whole.coincidence_counts["A"] and whole.discarded_multiport and whole.slot0_clicks
     for name, value in vars(whole).items():
         if isinstance(value, np.ndarray):
