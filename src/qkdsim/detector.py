@@ -36,9 +36,10 @@ when its detector's level-k Bernoulli(2^-k) process hits it
 slot's uniform u on the detector stream: a Bernoulli(p) event, whatever
 the slot's piece or chunk.  Only the live slots of each piece are
 searched, at the levels its dim light has, so a run costs its candidates
-and the sub-blocks they lie in.  A candidate's mean, escape probability
-and level are read from its piece's table; the chain is asked only which
-of the piece's levels the candidate shows.  The clicks equal those of
+and the sub-blocks they lie in.  A candidate's level and thinning bound
+p 2^k are read from its piece's table, which the caller computes once per
+piece (`engine.chunks`); the chain is asked only which of the piece's two
+means the candidate shows.  The clicks equal those of
 the slot-by-slot reference state machine in the tests, which follows the
 same definition.
 Candidate clicks and rising edges are then resolved for dead time
@@ -84,20 +85,26 @@ class DetectorParams:
 
     def escape(self, incident):
         """Click probability of a Ready detector in a dim slot: photon or
-        dark count, 1 - (1 - d) e^{-mean*eta}."""
-        return 1.0 - (1.0 - self.dark_prob_per_slot) * np.exp(-incident * self.efficiency)
+        dark count, 1 - (1 - d) e^{-mean*eta}.  From mean*eta = 40 on it is
+        1 exactly (e^-40 is below half an ulp of 1), so the exponent is
+        clamped there: exp is several times slower where it underflows, as
+        it does for bright light."""
+        return 1.0 - (1.0 - self.dark_prob_per_slot) * np.exp(
+            np.maximum(-incident * self.efficiency, -40.0))
 
     def level(self, incident):
-        """(k, p): the candidate level of each incident mean (see
-        `simulate_block`) and its escape probability p.  k is the one in
-        [0, MAX_LEVEL] with 2^-(k+1) < p <= 2^-k, or the highest; -1 where
-        the light is bright or p = 0, so the slot cannot click as a dim
-        slot."""
+        """(k, bound): the candidate level of each incident mean (see
+        `simulate_block`), as int8, and its thinning bound p 2^k, p its
+        escape probability.  k is the one in [0, MAX_LEVEL] with
+        2^-(k+1) < p <= 2^-k, or the highest; -1 where the light is bright
+        or p = 0, so the slot cannot click as a dim slot."""
         incident = np.asarray(incident, dtype=np.float64)
         p = self.escape(incident)
         mantissa, exponent = np.frexp(p)
         k = np.minimum((mantissa == 0.5) - exponent, MAX_LEVEL)
-        return np.where((incident < self.blind_threshold_photons) & (p > 0.0), k, -1), p
+        k = np.where((incident < self.blind_threshold_photons) & (p > 0.0), k, -1)
+        # The candidate test u 2^-k < p, as u < p 2^k: both scalings are exact.
+        return k.astype(np.int8), np.ldexp(p, k)
 
 
 @dataclass
@@ -164,8 +171,8 @@ def _candidates(rng: SlotRng, k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return hits[(hits >= lo[j]) & (hits < hi[j])]
 
 
-def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, levels: np.ndarray,
-                   shown_at, params: DetectorParams, state: BlockState,
+def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, level: np.ndarray,
+                   bound: np.ndarray, shown_at, params: DetectorParams, state: BlockState,
                    rng: SlotRng) -> np.ndarray:
     """Run one detector over the slots [lo, hi); return its click slots,
     sorted.
@@ -175,11 +182,13 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, levels: np
     (spans closer than `recovery_slots` to the one before, or to the block
     before, are joined to it), and the pieces of constant light starting
     at `piece_starts` (the first at `lo`): every dim slot of piece i sees
-    one of its incident means `levels[i]`, and `shown_at(slots, piece)`
-    maps sorted slots in the pieces `piece` to the index of the one each
-    shows.  The escape probability and level of each mean are computed
-    once, and `shown_at` is called once, for the candidates.  Candidate
-    clicks and rising edges are then resolved for dead time.
+    one of its two incident means, whose candidate levels and thinning
+    bounds (`DetectorParams.level`) are `level[i]` and `bound[i]`, and
+    `shown_at(slots, piece)` maps sorted slots in the pieces `piece` to
+    the index, 0 or 1, of the one each shows.  The levels and bounds are
+    computed by the caller, once per piece, and `shown_at` is called once,
+    for the candidates.  Candidate clicks and rising edges are then
+    resolved for dead time.
     """
     # Interval j runs from the end prev[j] of a span (the carried last
     # bright slot for j = 0) to the start of the next (or `hi`).  A dim
@@ -193,15 +202,13 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, levels: np
     stop = np.append(starts, hi)
     live = first < stop
     seg_lo, seg_hi, piece = _cut(first[live], stop[live], piece_starts, hi)
-    level, p = params.level(levels)
-    # The candidate test u 2^-k < p, as u < p 2^k: both scalings are exact.
-    bound = np.ldexp(p, level).ravel()
     seg_level = level[piece]
+    level0, level1 = seg_level[:, 0], seg_level[:, 1]
     cand, cand_level = [seg_lo[:0]], [seg_lo[:0]]
     # The levels present, by counts over [0, MAX_LEVEL].  Not np.unique: its
     # first call imports numpy.ma, which would take most of a short run.
     for k in np.flatnonzero(np.bincount(seg_level[seg_level >= 0])).tolist():
-        at = (seg_level == k).any(axis=1)
+        at = (level0 == k) | (level1 == k)
         cand.append(_candidates(rng, k, seg_lo[at], seg_hi[at]))
         cand_level.append(np.full(len(cand[-1]), k))
     cand, k = np.concatenate(cand), np.concatenate(cand_level)
@@ -213,9 +220,9 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, levels: np
     # A slot that is a candidate at both of its piece's levels passes at
     # one at most.
     piece = np.searchsorted(piece_starts, cand, side="right") - 1
-    at = piece * levels.shape[1] + shown_at(cand, piece)
+    at = 2 * piece + shown_at(cand, piece)
     take = level.ravel()[at] == k
-    take &= rng.uniform_at(cand) < bound[at]
+    take &= rng.uniform_at(cand) < bound.ravel()[at]
     return _resolve(cand[take], starts, prev, params, state)
 
 
@@ -290,7 +297,7 @@ def count_rate_sweep(
         lo, hi = j * slots_per_point, (j + 1) * slots_per_point
         span = np.array([lo, hi - 1] if power >= params.blind_threshold_photons else [], np.int64)
         clicks = simulate_block(
-            lo, hi, (span[:1], span[1:]), np.array([lo]), np.array([[float(power)]]),
+            lo, hi, (span[:1], span[1:]), np.array([lo]), *params.level([[power, power]]),
             lambda s, piece: np.zeros(len(s), np.intp), params, BlockState(), rng,
         )
         results.append((float(power), clock_hz * len(clicks) / slots_per_point))

@@ -19,7 +19,11 @@ draws that detector's candidate clicks among the live dim slots between
 its spans.  A slot's incident mean is never recomputed: it is read from
 its piece's two levels, at the index the chain says it shows
 (`OpticalChain.shown`: the offset parity in a patterned piece, the phase
-difference bit, flips included, in a per-slot piece).  Slots never cross
+difference bit, flips included, in a per-slot piece); so are its
+candidate level and thinning bound at each detector, which
+`DetectorParams.level` gives once per piece and detector, right after the
+chain evaluates the piece (`chunks`), and which `optics.Pieces` carries
+next to the levels.  Slots never cross
 a chunk, so each chunk's four click lists are merged into a click log
 (`protocol.ClickLog.merge`) and sifted (`protocol.sift`) on their own,
 and appended in place to the run's log and sift result (`protocol.grow`),
@@ -275,10 +279,11 @@ def _lit_offsets(pieces: Pieces, detectors):
     even and at the odd offsets of patterned piece i ([d, i], False in
     per-slot pieces), and whether per-slot piece i has a bright level at
     some detector ([i])."""
-    thresholds = np.array([d.blind_threshold_photons for d in detectors])
-    lit = pieces.levels >= thresholds[:, None, None]  # [d, i, offset parity]
+    thresholds = np.array([d.blind_threshold_photons for d in detectors])[:, None]
+    lit0 = pieces.levels[..., 0] >= thresholds  # [d, i]
+    lit1 = pieces.levels[..., 1] >= thresholds
     patterned = ~pieces.per_slot
-    return lit[..., 0] & patterned, lit[..., 1] & patterned, pieces.per_slot & lit.any(axis=(0, 2))
+    return lit0 & patterned, lit1 & patterned, pieces.per_slot & (lit0 | lit1).any(axis=0)
 
 
 def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> list:
@@ -303,17 +308,23 @@ def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> lis
         incident = pieces.levels[:, piece, chain.shown(pieces, slots, piece)]
         bright = [slots[inc >= d.blind_threshold_photons] for inc, d in zip(incident, detectors)]
 
-    first = np.where(even, starts, starts + 1)
-    step = np.where(even & odd, 1, 2)
-    last = ends - 1 - (ends - 1 - first) % step
-    runs = (even | odd) & (first < ends)
+    # Each detector's runs, out of one flat [d, i] list of the pieces lit
+    # at an even offset, or at an odd one that they have (more than a slot).
+    n = len(starts)
+    at = np.flatnonzero(even | (odd & (ends - starts > 1)))
+    cut = np.searchsorted(at, n * np.arange(len(detectors) + 1))
 
     spans = []
     for d, params in enumerate(detectors):
-        f, l, st, b = first[d][runs[d]], last[d][runs[d]], step[d][runs[d]], bright[d]
+        i = at[cut[d]:cut[d + 1]] - d * n
+        f, e, both = starts[i], ends[i], even[d, i] & odd[d, i]
+        f += ~even[d, i]
+        l = e - 1 - ((e - 1 - f) & ~both)  # last of a run of step 1 (both lit) or 2
+        st, b = 2 - both, bright[d]
         if len(b):  # merge the explicit bright slots in as runs of one slot
-            at = np.searchsorted(b, f)
-            f, l, st = np.insert(b, at, f), np.insert(b, at, l), np.insert(np.ones_like(b), at, st)
+            pos = np.searchsorted(b, f)
+            f, l = np.insert(b, pos, f), np.insert(b, pos, l)
+            st = np.insert(np.ones_like(b), pos, st)
         spans.append(latched_spans(f, l, st, params.recovery_slots))
     return spans
 
@@ -328,27 +339,40 @@ def _work(pieces: Pieces, detectors):
     even, odd, hot = _lit_offsets(pieces, detectors)
     recovery = np.array([d.recovery_slots for d in detectors])[:, None]
     latched = (even & odd) | ((even | odd) & (recovery >= 2))
-    fixed, rate = np.full(len(pieces.starts), _PIECE_UNITS), _SLOT_UNITS * hot
-    for d, params in enumerate(detectors):
-        k, _ = params.level(pieces.levels[d])
-        k[:, 1] = np.where(k[:, 1] == k[:, 0], -1, k[:, 1])  # a level once
-        live = (k >= 0) & ~latched[d][:, None]
-        fixed += live.sum(axis=1)
-        rate += np.where(live, np.ldexp(2.0, -k), 0.0).sum(axis=1)
+    k0, k1 = pieces.k[..., 0], pieces.k[..., 1]  # [d, i]
+    live0 = (k0 >= 0) & ~latched
+    live1 = (k1 >= 0) & (k1 != k0) & ~latched  # a level once
+    fixed = _PIECE_UNITS + (np.count_nonzero(live0, axis=0) + np.count_nonzero(live1, axis=0))
+    rate0 = np.where(live0, np.ldexp(2.0, -k0), 0.0)
+    rate1 = np.where(live1, np.ldexp(2.0, -k1), 0.0)
+    # Detector by detector, each one's two levels first: a float sum in
+    # another order can round otherwise and move the chunk cuts.
+    rate = _SLOT_UNITS * hot
+    for d in range(len(detectors)):
+        rate += rate0[d] + rate1[d]
     return fixed, rate
+
+
+def _with_levels(pieces: Pieces, detectors) -> Pieces:
+    """`pieces` with the candidate level and thinning bound of each of
+    their means at each detector (`DetectorParams.level`): the one place a
+    run computes them."""
+    k, bound = zip(*(d.level(levels) for d, levels in zip(detectors, pieces.levels)))
+    return pieces._replace(k=np.stack(k), bound=np.stack(bound))
 
 
 def _slice(pieces: Pieces, lo: int, hi: int) -> Pieces:
     """The pieces of [lo, hi) out of `pieces`, which cover it; a patterned
-    piece cut at an odd offset swaps its even and odd levels."""
+    piece cut at an odd offset swaps its even and odd entries, in every
+    [d, i, 2] field (`levels`, `k`, `bound`)."""
     i = np.searchsorted(pieces.starts, lo, side="right") - 1
     j = np.searchsorted(pieces.starts, hi)
-    starts, levels = pieces.starts[i:j].copy(), pieces.levels[:, i:j]
-    if (lo - starts[0]) & 1 and not pieces.per_slot[i]:
-        levels = levels.copy()
-        levels[:, 0] = pieces.levels[:, i, ::-1]
+    starts, per_slot = pieces.starts[i:j].copy(), pieces.per_slot[i:j]
+    fields = [f[:, i:j] for f in (pieces.levels, pieces.k, pieces.bound)]
+    if (lo - starts[0]) & 1 and not per_slot[0]:
+        fields = [np.concatenate((f[:, :1, ::-1], f[:, 1:]), axis=1) for f in fields]
     starts[0] = lo
-    return Pieces(starts, levels, pieces.per_slot[i:j])
+    return Pieces(starts, fields[0], per_slot, *fields[1:])
 
 
 def _joined(parts: list) -> Pieces:
@@ -366,7 +390,8 @@ def chunks(chain: OpticalChain, n_slots: int, detectors):
     count: an honest run is cut every few 10^7 slots at stock loss, a
     latched attacked stretch costs its pieces only, and a heavy piece is
     cut inside.  The pieces are evaluated once, in steps of 2^10 cycles
-    under an attack plan and all at once without one, and handed to the
+    under an attack plan and all at once without one, with their
+    candidate levels and bounds (`_with_levels`), and handed to the
     chunks that hold them.
     """
     budget = CHUNK_SLOTS
@@ -374,7 +399,7 @@ def chunks(chain: OpticalChain, n_slots: int, detectors):
     lo, done, held = 0, 0.0, []  # done: work since lo, held in pieces
     for a in range(0, n_slots, step):
         b = min(a + step, n_slots)
-        pieces = chain.pieces(a, b)
+        pieces = _with_levels(chain.pieces(a, b), detectors)
         fixed, rate = _work(pieces, detectors)
         length = np.diff(pieces.starts, append=b)
         total = done + np.cumsum(fixed + rate * length)
@@ -432,16 +457,18 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
             # Slots never cross a chunk, so each chunk's clicks are merged
             # and sifted on their own, and appended to the run's.
             part = ClickLog.merge([
-                simulate_block(lo, hi, spans[d], pieces.starts, pieces.levels[d], shown_at,
-                               params, det_states[d], streams.detectors[d])
+                simulate_block(lo, hi, spans[d], pieces.starts, pieces.k[d], pieces.bound[d],
+                               shown_at, params, det_states[d], streams.detectors[d])
                 for d, params in enumerate(cfg.detectors)
             ])
             sres.add(sift(part, alice.key_bits_at))
             grow(slots, part.slots)
             grow(dets, part.detector_ids)
             # `chunks` cuts the next chunk while the loop asks for it: a
-            # failure there lies in the slots not yet simulated.
+            # failure there lies in the slots not yet simulated, and this
+            # chunk's arrays are dropped first, so two are never held.
             lo, hi = hi, cfg.n_slots
+            del pieces, spans, shown_at, part
     except Exception as exc:
         raise RuntimeError(
             f"scenario failed while simulating slots [{lo}, {hi}): {exc}"

@@ -116,12 +116,17 @@ def mzi_ports(mean, cos_dphi, mean_prev):
 
 class Pieces(NamedTuple):
     """A slot range split into pieces of constant light (see
-    `OpticalChain.pieces`)."""
+    `OpticalChain.pieces`).  `k` and `bound` are left out by the chain;
+    the engine computes them once per piece, right after the chain
+    evaluates it (`engine.chunks`), and carries them with `levels`."""
 
     starts: np.ndarray    # first slot of each piece, the first at the range's start
     levels: np.ndarray    # [d, i, 2]: detector d+1's incident mean at the even and
                           # the odd offsets of piece i, or, per slot, at bit 0 and 1
     per_slot: np.ndarray  # whether piece i's phase difference is drawn per slot
+    k: np.ndarray | None = None      # [d, i, 2] int8: the candidate level of each mean
+                                     # (`DetectorParams.level`), -1 where it cannot click
+    bound: np.ndarray | None = None  # [d, i, 2]: its thinning bound p 2^k
 
 
 @dataclass(frozen=True)

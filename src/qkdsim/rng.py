@@ -82,12 +82,13 @@ class SlotRng:
     seeded with this stream's seed.
     """
 
-    __slots__ = ("seed", "_offset")
+    __slots__ = ("seed", "_offset", "_levels")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         # (index + 1) * golden + seed == index * golden + _offset (mod 2^64)
         self._offset = _U64((seed + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
+        self._levels = {}  # k -> the level-k stream, derived once
 
     def raw_at(self, index):
         """Raw 64-bit variates at `index` (integers, negative ones modulo
@@ -99,8 +100,11 @@ class SlotRng:
 
     def level(self, k: int) -> "SlotRng":
         """The stream of this stream's level-k candidate gaps (see
-        `bernoulli_hits`)."""
-        return SlotRng(derive_seed(self.seed, "candidates", k))
+        `bernoulli_hits`), derived on first use."""
+        stream = self._levels.get(k)
+        if stream is None:
+            stream = self._levels[k] = SlotRng(derive_seed(self.seed, "candidates", k))
+        return stream
 
     def uniform_at(self, index):
         """Uniform float64 in [0, 1) for each requested index."""

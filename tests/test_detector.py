@@ -38,17 +38,17 @@ def make_det(det_id=1, seed=1, **kw):
 def dense_block(incident, base, par, state, rng):
     """`simulate_block` for one detector over the slots [base, base +
     len(incident)), given the incident mean of every slot: the latched
-    spans of its bright slots, and one piece whose levels are all the
-    means present (plus 0, so an empty block still has one), each slot
-    showing its own."""
+    spans of its bright slots, and a piece per run of equal means (one of
+    mean 0 in an empty block) showing its mean at both indices."""
     incident = np.asarray(incident, dtype=np.float64)
     bright = base + np.flatnonzero(incident >= par.blind_threshold_photons)
     spans = latched_spans(bright, bright, np.ones_like(bright), par.recovery_slots)
-    levels = np.unique(np.append(incident, 0.0))
-    shown = np.searchsorted(levels, incident)
+    starts = np.append(0, np.flatnonzero(incident[1:] != incident[:-1]) + 1)
+    means = np.append(incident, 0.0)[starts]
+    level, bound = par.level(np.column_stack((means, means)))
     return simulate_block(
-        base, base + len(incident), spans, np.array([base]), levels[None, :],
-        lambda slots, piece: shown[slots - base], par, state, rng,
+        base, base + len(incident), spans, base + starts, level, bound,
+        lambda slots, piece: np.zeros(len(slots), np.intp), par, state, rng,
     )
 
 
@@ -147,6 +147,18 @@ class TestStateMachine:
         det = make_det()
         with pytest.raises(ValueError):
             det.step(-1.0, 0)
+
+
+@pytest.mark.parametrize("eta", [0.06, 0.5, 1.0])
+@pytest.mark.parametrize("dark", [0.0, 2.4532e-6, 0.5])
+def test_escape_clamp_changes_no_bit(eta, dark):
+    """`escape` clamps its exponent at -40, past which 1 - (1 - d) e^-x
+    is 1 exactly: it equals the unclamped formula bit for bit, bright and
+    infinite light included."""
+    incident = np.concatenate((np.linspace(0.0, 2000.0, 200_001), [1e6, 1e300, np.inf]))
+    unclamped = 1.0 - (1.0 - dark) * np.exp(-incident * eta)
+    assert np.array_equal(params(efficiency=eta, dark_prob_per_slot=dark).escape(incident),
+                          unclamped)
 
 
 def test_dim_click_statistics_match_poisson_escape():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qkdsim import engine
+from qkdsim import engine, rng
 from qkdsim.attack import AttackConfig
 from qkdsim.cli import PRESETS, config_from_dict
 from qkdsim.engine import (
@@ -200,6 +201,40 @@ def test_full_attack_runs_in_a_handful_of_chunks(monkeypatch):
     assert m.coincidences[1] + (m.singles[2] + m.singles[3]) // 2 == 10_000
 
 
+def test_each_level_and_candidate_stream_is_computed_once(monkeypatch):
+    """A partial-attack run cut into many chunks derives each (detector,
+    level) candidate stream once, and computes candidate levels only where
+    pieces are evaluated: once per piece and detector."""
+    derived, levelled, evaluated = collections.Counter(), [], []
+    derive_seed, level, pieces = rng.derive_seed, DetectorParams.level, OpticalChain.pieces
+
+    def spy_derive(master, tag, index=0):
+        if tag == "candidates":
+            derived[master, index] += 1
+        return derive_seed(master, tag, index)
+
+    def spy_level(self, incident):
+        levelled.append(np.shape(incident))
+        return level(self, incident)
+
+    def spy_pieces(self, lo, hi):
+        result = pieces(self, lo, hi)
+        evaluated.append(len(result.starts))
+        return result
+
+    monkeypatch.setattr(rng, "derive_seed", spy_derive)
+    monkeypatch.setattr(DetectorParams, "level", spy_level)
+    monkeypatch.setattr(OpticalChain, "pieces", spy_pieces)
+    monkeypatch.setattr(engine, "CHUNK_SLOTS", 1 << 12)
+    seen = _spy_chunks(monkeypatch)
+    cfg = _preset("partial-attack", n_slots=30_000_000)
+    run_scenario(cfg)
+    assert len(seen["bounds"]) > 20 and len(evaluated) == 3
+    assert {seed for seed, _ in derived} == {s.seed for s in RunStreams(cfg.seed).detectors}
+    assert set(derived.values()) == {1}
+    assert levelled == [(n, 2) for n in evaluated for _ in range(4)]
+
+
 def test_failure_names_the_chunk_that_failed(monkeypatch):
     calls = []
     simulate_block = engine.simulate_block
@@ -324,37 +359,51 @@ def test_piece_levels_cover_every_slot(
     assume((~plan.attacked[:-1] & plan.attacked[1:]).any())
     incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
     chain = OpticalChain(plan, cfg.filter, cfg.coupler, flip, streams.flip)
-    whole = chain.pieces(0, cfg.n_slots)
+    whole = engine._with_levels(chain.pieces(0, cfg.n_slots), cfg.detectors)
+    parts = []
     for lo in range(0, cfg.n_slots, chunk):
         hi = min(lo + chunk, cfg.n_slots)
-        for pieces in (chain.pieces(lo, hi), engine._slice(whole, lo, hi)):
-            _assert_slots_show_their_means(chain, pieces, lo, hi, incidents)
+        parts.append(engine._slice(whole, lo, hi))
+        for pieces in (engine._with_levels(chain.pieces(lo, hi), cfg.detectors), parts[-1]):
+            _assert_slots_show_their_means(chain, pieces, lo, hi, incidents, cfg.detectors)
+    _assert_slots_show_their_means(chain, engine._joined(parts), 0, cfg.n_slots, incidents,
+                                   cfg.detectors)
 
 
-def _assert_slots_show_their_means(chain, pieces, lo, hi, incidents):
+def _assert_slots_show_their_means(chain, pieces, lo, hi, incidents, detectors):
+    """Each slot of [lo, hi) shows its incident mean, and the candidate
+    level and thinning bound that its piece carries for that mean are
+    `DetectorParams.level` of it."""
     slots = np.arange(lo, hi)
     piece = np.searchsorted(pieces.starts, slots, side="right") - 1
-    shown = pieces.levels[:, piece, chain.shown(pieces, slots, piece)]
-    for d in range(4):
-        assert np.array_equal(shown[d], incidents[d][lo:hi])
+    at = (piece, chain.shown(pieces, slots, piece))
+    for d, params in enumerate(detectors):
+        assert np.array_equal(pieces.levels[d][at], incidents[d][lo:hi])
+        k, bound = params.level(incidents[d][lo:hi])
+        assert np.array_equal(pieces.k[d][at], k)
+        assert np.array_equal(pieces.bound[d][at], bound)
 
 
 @pytest.mark.parametrize("case", ["normal", "flips-under-attack", "odd-window-intercept"])
 def test_pieces_cut_at_odd_offsets_keep_each_slots_level(case):
     """A chunk cut at an odd offset into a piece: a patterned piece swaps
-    its even and odd levels, and a per-slot piece (honest random phases,
-    or any piece under phase flips) keeps its levels at bit 0 and 1."""
+    its even and odd levels, candidate levels and bounds, and a per-slot
+    piece (honest random phases, or any piece under phase flips) keeps
+    them at bit 0 and 1; so do the cut pieces joined again."""
     cfg = dataclasses.replace(CHUNKING_CASES[case](), n_slots=30_011)
     streams = RunStreams(cfg.seed)
     plan, alice = plan_and_source(cfg, streams)
     source = plan if plan is not None else alice
     incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
     chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
-    whole = chain.pieces(0, cfg.n_slots)
+    whole = engine._with_levels(chain.pieces(0, cfg.n_slots), cfg.detectors)
     cuts = np.array([0, 2, 9_993, 19_987, 20_000, cfg.n_slots])
     assert ((cuts[1:-1] - whole.starts[np.searchsorted(whole.starts, cuts[1:-1]) - 1]) & 1).any()
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        _assert_slots_show_their_means(chain, engine._slice(whole, lo, hi), lo, hi, incidents)
+    parts = [engine._slice(whole, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    for lo, hi, pieces in zip(cuts[:-1], cuts[1:], parts):
+        _assert_slots_show_their_means(chain, pieces, lo, hi, incidents, cfg.detectors)
+    _assert_slots_show_their_means(chain, engine._joined(parts[1:4]), cuts[1], cuts[4],
+                                   incidents, cfg.detectors)
 
 
 def _spans_of(bright, recovery):

@@ -343,6 +343,24 @@ def test_click_log_csv_is_the_same_in_any_block_size(tmp_path, monkeypatch):
     assert texts == {"slot,detector_id\n3,1\n3,2\n7,4\n100,1\n101,3\n"}
 
 
+@pytest.mark.parametrize("slots", [
+    [],
+    [0],
+    [0, 9, 10, 99, 100, 101],
+    [2**62 - 1],
+    [5, 5, 5, 5, 2**62 - 2],
+    list(range(0, 10 * (2**16 + 3), 10)),
+], ids=["empty", "slot-0", "digit-boundaries", "near-2^62", "all-ids", "over-2^16-rows"])
+def test_click_log_csv_matches_printf_formatting(tmp_path, slots):
+    """`write_csv` builds its digits in numpy; its bytes equal `%d,%d`
+    rows, including where a block's rows differ in width."""
+    dets = (np.arange(len(slots)) % 4 + 1).astype(np.int8)
+    log = ClickLog(np.array(slots, dtype=np.int64), dets)
+    log.write_csv(tmp_path / "clicks.csv")
+    rows = "".join("%d,%d\n" % (s, d) for s, d in zip(slots, dets.tolist()))
+    assert (tmp_path / "clicks.csv").read_bytes() == ("slot,detector_id\n" + rows).encode()
+
+
 def test_sift_results_of_disjoint_ranges_join_to_the_whole():
     """Sifting a log in pieces cut between slots and joining the results
     gives the sift of the whole log, counts and kept bits alike."""
