@@ -25,7 +25,10 @@ target, pi for port 1) and the re-blinding edge -- each with its kind and
 first phase difference.  The plan's pieces (`AttackPlan.pattern`), the
 parity of any slot and the parity each cycle is entered with all follow
 from that table, so the detector stage takes a cycle's bright slots as a
-few runs instead of evaluating them one by one.
+few runs instead of evaluating them one by one.  Each piece is tagged
+with its light by its row and column of the table (and, at a cycle's
+first slot, the light before it), so every cycle repeats a handful of
+light types that the optical chain evaluates once per run.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ class AttackPlan:
     (see `eve_outcome`) and is consulted only in intercept mode.
     """
 
+    n_tags = 240  # the tags of `pattern`: 4 rows x 5 columns x 12
+
     def __init__(self, cfg: AttackConfig, n_slots: int, alice, cycle_rng: SlotRng,
                  eve_outcome_at=None):
         if cfg.mode == "intercept_resend" and eve_outcome_at is None:
@@ -193,24 +198,37 @@ class AttackPlan:
         return self._piece_parity(j, self.entry_parity[k], i)
 
     def pattern(self, lo: int, hi: int):
-        """Pieces of [lo, hi) and how the phase difference runs over each
-        (see `optics.OpticalChain.pieces`): (starts, kinds), the first
-        piece starting at `lo`.  An attacked cycle's pieces are those of
-        its row of the phase program; a pass-through cycle's first slot
-        follows the previous cycle's light, so it is a piece of its own,
-        and the rest carries Alice's phases, drawn per slot."""
+        """Pieces of [lo, hi), how the phase difference runs over each (see
+        `optics.OpticalChain.pieces`) and the light each carries: (starts,
+        kinds, tags), the first piece starting at `lo`.  An attacked
+        cycle's pieces are those of its row of the phase program; a
+        pass-through cycle's first slot follows the previous cycle's
+        light, so it is a piece of its own, and the rest carries Alice's
+        phases, drawn per slot.  Pieces with one tag carry one light: the
+        tag names the program's row (a fourth row for a pass-through
+        cycle) and column, for a cycle's first slot the previous cycle's
+        light (vacuum before slot 0, Eve's or Alice's) and, in a
+        pass-through cycle, its phase difference to that light; its
+        lowest bit is set on a piece entered at an odd offset
+        (`optics.Lights`)."""
         C = self.cfg.cycle_slots
         k = np.arange(lo // C, (hi - 1) // C + 1)
         t = self.targets[k]
+        attacked = self.attacked[k]
         starts = k[:, None] * C + self._offsets[t]
         kind = self._kinds[t]
-        kind[~self.attacked[k], 1] = PER_SLOT
+        kind[~attacked, 1] = PER_SLOT
+        tag = (np.where(attacked, t, 3)[:, None] * 5 + np.arange(5)) * 12
+        prev = np.where(k == 0, 0, np.where(self.attacked[k - 1], 1, 2))
+        bit = self.alice.parity_at(k * C) ^ self.entry_parity[k]
+        tag[:, 0] += 4 * prev + 2 * (bit & ~attacked)
         used = self._used[t]
-        starts, kind = starts[used], kind[used]
+        starts, kind, tag = starts[used], kind[used], tag[used]
         inside = (starts > lo) & (starts < hi)
         at_lo = np.searchsorted(starts, lo, side="right") - 1
         return (np.concatenate(([lo], starts[inside])),
-                np.concatenate((kind[at_lo:at_lo + 1], kind[inside])))
+                np.concatenate((kind[at_lo:at_lo + 1], kind[inside])),
+                np.concatenate(([tag[at_lo] | (lo - starts[at_lo]) & 1], tag[inside])))
 
     def parity_at(self, slots: np.ndarray) -> np.ndarray:
         """Phase parities at the given slot indices, in closed form from

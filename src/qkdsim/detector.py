@@ -25,7 +25,7 @@ latched inside a span and recovered `recovery_slots` after its end, so
 the live dim slots run from there to the next span's start, and a span's
 first slot is a rising-edge candidate when the previous span ended more
 than `recovery_slots` before it.  It is also given, for each piece of
-constant light, the incident levels its slots can show.
+constant light, its light type, whose incident levels its slots show.
 
 Dim clicks are drawn as candidates, not slot by slot.  A dim slot whose
 escape probability p > 0 has the level k with 2^-(k+1) < p <= 2^-k
@@ -37,9 +37,9 @@ slot's uniform u on the detector stream: a Bernoulli(p) event, whatever
 the slot's piece or chunk.  Only the live slots of each piece are
 searched, at the levels its dim light has, so a run costs its candidates
 and the sub-blocks they lie in.  A candidate's level and thinning bound
-p 2^k are read from its piece's table, which the caller computes once per
-piece (`engine.chunks`); the chain is asked only which of the piece's two
-means the candidate shows.  The clicks equal those of
+p 2^k are read from the table of its piece's light type, which the caller
+computes once per type (`engine._typed`); the chain is asked only which of
+the type's two means the candidate shows.  The clicks equal those of
 the slot-by-slot reference state machine in the tests, which follows the
 same definition.
 Candidate clicks and rising edges are then resolved for dead time
@@ -48,7 +48,6 @@ Candidate clicks and rising edges are then resolved for dead time
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,9 +170,9 @@ def _candidates(rng: SlotRng, k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return hits[(hits >= lo[j]) & (hits < hi[j])]
 
 
-def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, level: np.ndarray,
-                   bound: np.ndarray, shown_at, params: DetectorParams, state: BlockState,
-                   rng: SlotRng) -> np.ndarray:
+def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, piece_light: np.ndarray,
+                   level: np.ndarray, bound: np.ndarray, shown_at, params: DetectorParams,
+                   state: BlockState, rng: SlotRng) -> np.ndarray:
     """Run one detector over the slots [lo, hi); return its click slots,
     sorted.
 
@@ -182,33 +181,35 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, level: np.
     (spans closer than `recovery_slots` to the one before, or to the block
     before, are joined to it), and the pieces of constant light starting
     at `piece_starts` (the first at `lo`): every dim slot of piece i sees
-    one of its two incident means, whose candidate levels and thinning
-    bounds (`DetectorParams.level`) are `level[i]` and `bound[i]`, and
-    `shown_at(slots, piece)` maps sorted slots in the pieces `piece` to
-    the index, 0 or 1, of the one each shows.  The levels and bounds are
-    computed by the caller, once per piece, and `shown_at` is called once,
-    for the candidates.  Candidate clicks and rising edges are then
-    resolved for dead time.
+    one of the two incident means of its light type t = `piece_light[i]`,
+    whose candidate levels and thinning bounds (`DetectorParams.level`)
+    are `level[t]` and `bound[t]`, and `shown_at(slots, piece)` maps
+    sorted slots in the pieces `piece` to the index, 0 or 1, of the one
+    each shows.  The levels and bounds are computed by the caller, once
+    per light type, and `shown_at` is called once, for the candidates.
+    Candidate clicks and rising edges are then resolved for dead time.
     """
     # Interval j runs from the end prev[j] of a span (the carried last
     # bright slot for j = 0) to the start of the next (or `hi`).  A dim
     # slot is past blinding once `recovery_slots` dim slots have elapsed
     # since the last bright one (counting itself), so interval j is live
     # from prev[j] + R.  Its live slots in piece i are candidates of each
-    # level that a dim level of the piece has.
+    # level that a dim level of the piece's light has.
     starts, ends = spans
     prev = np.concatenate(([state.last_bright], ends))
     first = np.maximum(prev + params.recovery_slots, lo)
     stop = np.append(starts, hi)
     live = first < stop
     seg_lo, seg_hi, piece = _cut(first[live], stop[live], piece_starts, hi)
-    seg_level = level[piece]
-    level0, level1 = seg_level[:, 0], seg_level[:, 1]
+    seg_light = piece_light[piece]
+    level0, level1 = level[:, 0], level[:, 1]
     cand, cand_level = [seg_lo[:0]], [seg_lo[:0]]
-    # The levels present, by counts over [0, MAX_LEVEL].  Not np.unique: its
-    # first call imports numpy.ma, which would take most of a short run.
-    for k in np.flatnonzero(np.bincount(seg_level[seg_level >= 0])).tolist():
-        at = (level0 == k) | (level1 == k)
+    # The levels of the light types present, by counts over [0, MAX_LEVEL].
+    # Not np.unique: its first call imports numpy.ma, which would take most
+    # of a short run.
+    present = level[np.bincount(seg_light, minlength=len(level)) > 0]
+    for k in np.flatnonzero(np.bincount(present[present >= 0])).tolist():
+        at = ((level0 == k) | (level1 == k))[seg_light]
         cand.append(_candidates(rng, k, seg_lo[at], seg_hi[at]))
         cand_level.append(np.full(len(cand[-1]), k))
     cand, k = np.concatenate(cand), np.concatenate(cand_level)
@@ -217,10 +218,10 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, level: np.
 
     # A candidate of level k clicks if k is the level of the mean it shows
     # and u 2^-k < p, that mean's escape probability: Bernoulli(p) in all.
-    # A slot that is a candidate at both of its piece's levels passes at
+    # A slot that is a candidate at both of its light's levels passes at
     # one at most.
     piece = np.searchsorted(piece_starts, cand, side="right") - 1
-    at = 2 * piece + shown_at(cand, piece)
+    at = 2 * piece_light[piece] + shown_at(cand, piece)
     take = level.ravel()[at] == k
     take &= rng.uniform_at(cand) < bound.ravel()[at]
     return _resolve(cand[take], starts, prev, params, state)
@@ -297,24 +298,17 @@ def count_rate_sweep(
         lo, hi = j * slots_per_point, (j + 1) * slots_per_point
         span = np.array([lo, hi - 1] if power >= params.blind_threshold_photons else [], np.int64)
         clicks = simulate_block(
-            lo, hi, (span[:1], span[1:]), np.array([lo]), *params.level([[power, power]]),
+            lo, hi, (span[:1], span[1:]), np.array([lo]), np.zeros(1, np.intp),
+            *params.level([[power, power]]),
             lambda s, piece: np.zeros(len(s), np.intp), params, BlockState(), rng,
         )
         results.append((float(power), clock_hz * len(clicks) / slots_per_point))
     return results
 
 
-def photons_to_dBm(photons_per_slot: float, clock_hz: float, wavelength_nm: float) -> float:
-    """Average optical power, in dBm, of a photon flux at the given clock."""
-    if photons_per_slot <= 0.0 or clock_hz <= 0.0 or wavelength_nm <= 0.0:
-        raise ValueError("all arguments must be positive")
-    energy_j = PLANCK_J_S * LIGHT_SPEED_M_S / (wavelength_nm * 1e-9)
-    watts = photons_per_slot * clock_hz * energy_j
-    return 10.0 * math.log10(watts / 1e-3)
-
-
 def dBm_to_photons(power_dBm: float, clock_hz: float, wavelength_nm: float) -> float:
-    """Inverse of `photons_to_dBm`."""
+    """Mean photons per slot of an average optical power at the given
+    clock: P / (f h c / lam), with P = 1 mW * 10^(dBm / 10)."""
     energy_j = PLANCK_J_S * LIGHT_SPEED_M_S / (wavelength_nm * 1e-9)
     watts = 1e-3 * 10.0 ** (power_dBm / 10.0)
     return watts / (clock_hz * energy_j)

@@ -2,28 +2,32 @@
 
 The link is an index-addressed chain (`optics.OpticalChain`): source or
 attack fields (`protocol.AliceSource`, `attack.AttackPlan`) -> band-pass
-filter -> interferometer -> couplers, evaluated at the first slot of
-each piece of constant light, its predecessor evaluated with it rather
+filter -> interferometer -> couplers, evaluated once per light type, at
+the first piece that carries it, its predecessor evaluated with it rather
 than carried.
 Each chunk of slots is split into pieces of constant light, at the
-boundaries of the source's phase-difference pattern, each with the two
-incident levels per detector that its slots show (`optics.Pieces`).
-Where that pattern is closed form (an attacked cycle, or Alice's 0, pi
+boundaries of the source's phase-difference pattern, and each piece
+carries a light type (`optics.Pieces`): a row of the chain's table of the
+run's distinct lights, with the two incident levels per detector that
+its slots show (`optics.Lights`).  An attacked run repeats one cycle
+program, so its tens of thousands of pieces share some twenty types.
+What the detectors make of a type (`Types`: candidate levels and
+thinning bounds by `DetectorParams.level`, which levels are bright, the
+expected work of a piece) is computed once per type (`_typed`), and
+every stage reads it through the pieces' types.
+Where the pattern is closed form (an attacked cycle, or Alice's 0, pi
 alternation) and free of phase flips, a patterned piece's bright slots
-are a run of step 1 or 2, read off its levels; only per-slot pieces with
+are a run of step 1 or 2, read off its type; only per-slot pieces with
 a level at some blinding threshold (bright honest light, or attacks with
 phase flips) are looked at slot by slot.  Each detector's runs are
 merged into latched spans (`detector.latched_spans`), and the detector
 stage (`detector.simulate_block`), called once per detector and chunk,
 draws that detector's candidate clicks among the live dim slots between
 its spans.  A slot's incident mean is never recomputed: it is read from
-its piece's two levels, at the index the chain says it shows
+its piece's type, at the index the chain says it shows
 (`OpticalChain.shown`: the offset parity in a patterned piece, the phase
 difference bit, flips included, in a per-slot piece); so are its
-candidate level and thinning bound at each detector, which
-`DetectorParams.level` gives once per piece and detector, right after the
-chain evaluates the piece (`chunks`), and which `optics.Pieces` carries
-next to the levels.  Slots never cross
+candidate level and thinning bound at each detector.  Slots never cross
 a chunk, so each chunk's four click lists are merged into a click log
 (`protocol.ClickLog.merge`) and sifted (`protocol.sift`) on their own,
 and appended in place to the run's log and sift result (`protocol.grow`),
@@ -74,6 +78,7 @@ import json
 import sys
 import typing
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -274,51 +279,68 @@ class RunMetrics:
         return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _lit_offsets(pieces: Pieces, detectors):
-    """(even, odd, hot): whether detector d shows a bright level at the
-    even and at the odd offsets of patterned piece i ([d, i], False in
-    per-slot pieces), and whether per-slot piece i has a bright level at
-    some detector ([i])."""
-    thresholds = np.array([d.blind_threshold_photons for d in detectors])[:, None]
-    lit0 = pieces.levels[..., 0] >= thresholds  # [d, i]
-    lit1 = pieces.levels[..., 1] >= thresholds
-    patterned = ~pieces.per_slot
-    return lit0 & patterned, lit1 & patterned, pieces.per_slot & (lit0 | lit1).any(axis=0)
+class Types(NamedTuple):
+    """What the detectors make of each light type of a run (a row of
+    `OpticalChain.lights`), computed once per type (`_typed`)."""
+
+    k: np.ndarray      # [d, r, 2] int8: the candidate level of each mean
+                       # (`DetectorParams.level`), -1 where it cannot click
+    bound: np.ndarray  # [d, r, 2]: its thinning bound p 2^k
+    lit: np.ndarray    # [d, r, 2]: whether the mean is at the blinding threshold
+    even: np.ndarray   # [d, r]: whether detector d shows a bright level at the even
+    odd: np.ndarray    # and at the odd offsets of a patterned piece (False if per-slot)
+    hot: np.ndarray    # [r]: a per-slot type with a bright level at some detector
+    fixed: np.ndarray  # [r]: the expected work of a piece (`_work`), fixed
+    rate: np.ndarray   # and per slot
+
+
+def _typed(chain: OpticalChain, detectors, known: Types | None = None) -> Types:
+    """`known` extended to every light type of the chain: the one place a
+    run calls `DetectorParams.level`, once per light type and detector."""
+    done = 0 if known is None else len(known.fixed)
+    if done == len(chain.lights.per_slot):
+        return known
+    levels, per_slot = chain.lights.levels[:, done:], chain.lights.per_slot[done:]
+    k, bound = (np.stack(f) for f in zip(*(d.level(lv) for d, lv in zip(detectors, levels))))
+    thresholds = np.array([d.blind_threshold_photons for d in detectors])[:, None, None]
+    lit = levels >= thresholds
+    even, odd = lit[..., 0] & ~per_slot, lit[..., 1] & ~per_slot
+    hot = per_slot & (lit[..., 0] | lit[..., 1]).any(axis=0)
+    new = Types(k, bound, lit, even, odd, hot, *_work(k, even, odd, hot, detectors))
+    if known is None:
+        return new
+    return Types(*(np.concatenate((a, b), axis=min(b.ndim - 1, 1)) for a, b in zip(known, new)))
 
 
 def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> list:
     """Each detector's latched spans (starts, ends) in [pieces.starts[0], hi).
 
-    A patterned piece's bright slots for a detector are read off its two
-    levels: slot start + t shows its level t & 1, so they form one run of
+    A patterned piece's bright slots for a detector are read off its light
+    type: slot start + t shows its level t & 1, so they form one run of
     step 1 (both lit) or 2 (one lit), or none.  In per-slot pieces with a
     level at some threshold, each slot's level is looked up (`shown`).
     """
     empty = np.empty(0, dtype=np.int64)
-    even, odd, hot = _lit_offsets(pieces, detectors)
-    if not (hot.any() or even.any() or odd.any()):
+    types, light, starts = pieces.types, pieces.light, pieces.starts
+    if not (types.hot.any() or types.even.any() or types.odd.any()):
         return [(empty, empty)] * len(detectors)
-    starts = pieces.starts
-    ends = np.concatenate((starts[1:], [hi]))
+    ends = np.append(starts[1:], hi)
 
     bright = [empty] * len(detectors)
+    hot = types.hot[light]
     if hot.any():
         slots = slot_ranges(starts[hot], ends[hot])
         piece = np.repeat(np.flatnonzero(hot), (ends - starts)[hot])
-        incident = pieces.levels[:, piece, chain.shown(pieces, slots, piece)]
-        bright = [slots[inc >= d.blind_threshold_photons] for inc, d in zip(incident, detectors)]
-
-    # Each detector's runs, out of one flat [d, i] list of the pieces lit
-    # at an even offset, or at an odd one that they have (more than a slot).
-    n = len(starts)
-    at = np.flatnonzero(even | (odd & (ends - starts > 1)))
-    cut = np.searchsorted(at, n * np.arange(len(detectors) + 1))
+        at = 2 * light[piece] + chain.shown(pieces, slots, piece)
+        bright = [slots[lit.ravel()[at]] for lit in types.lit]
 
     spans = []
+    long = ends - starts > 1
     for d, params in enumerate(detectors):
-        i = at[cut[d]:cut[d + 1]] - d * n
-        f, e, both = starts[i], ends[i], even[d, i] & odd[d, i]
-        f += ~even[d, i]
+        even, odd = types.even[d][light], types.odd[d][light]
+        i = np.flatnonzero(even | (odd & long))
+        f, e, both = starts[i], ends[i], even[i] & odd[i]
+        f += ~even[i]
         l = e - 1 - ((e - 1 - f) & ~both)  # last of a run of step 1 (both lit) or 2
         st, b = 2 - both, bright[d]
         if len(b):  # merge the explicit bright slots in as runs of one slot
@@ -329,17 +351,16 @@ def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> lis
     return spans
 
 
-def _work(pieces: Pieces, detectors):
-    """The expected work of each piece, as (fixed, rate): `fixed` units
-    plus `rate` per slot.  A piece weighs _PIECE_UNITS, and each slot
-    looked at one by one (`bright_spans`) _SLOT_UNITS.  For each detector
-    that may be live in it (not latched throughout by its bright runs),
-    each candidate level k of its dim levels costs its expected candidates
-    and sub-blocks touched: a unit plus 2 * 2^-k per slot."""
-    even, odd, hot = _lit_offsets(pieces, detectors)
+def _work(k, even, odd, hot, detectors):
+    """The expected work of a piece of each light type, as (fixed, rate):
+    `fixed` units plus `rate` per slot.  A piece weighs _PIECE_UNITS, and
+    each slot looked at one by one (`bright_spans`) _SLOT_UNITS.  For each
+    detector that may be live in it (not latched throughout by its bright
+    runs), each candidate level k of its dim levels costs its expected
+    candidates and sub-blocks touched: a unit plus 2 * 2^-k per slot."""
     recovery = np.array([d.recovery_slots for d in detectors])[:, None]
     latched = (even & odd) | ((even | odd) & (recovery >= 2))
-    k0, k1 = pieces.k[..., 0], pieces.k[..., 1]  # [d, i]
+    k0, k1 = k[..., 0], k[..., 1]  # [d, r]
     live0 = (k0 >= 0) & ~latched
     live1 = (k1 >= 0) & (k1 != k0) & ~latched  # a level once
     fixed = _PIECE_UNITS + (np.count_nonzero(live0, axis=0) + np.count_nonzero(live1, axis=0))
@@ -353,32 +374,25 @@ def _work(pieces: Pieces, detectors):
     return fixed, rate
 
 
-def _with_levels(pieces: Pieces, detectors) -> Pieces:
-    """`pieces` with the candidate level and thinning bound of each of
-    their means at each detector (`DetectorParams.level`): the one place a
-    run computes them."""
-    k, bound = zip(*(d.level(levels) for d, levels in zip(detectors, pieces.levels)))
-    return pieces._replace(k=np.stack(k), bound=np.stack(bound))
-
-
 def _slice(pieces: Pieces, lo: int, hi: int) -> Pieces:
-    """The pieces of [lo, hi) out of `pieces`, which cover it; a patterned
-    piece cut at an odd offset swaps its even and odd entries, in every
-    [d, i, 2] field (`levels`, `k`, `bound`)."""
+    """The pieces of [lo, hi) out of `pieces`, which cover it; a piece cut
+    at an odd offset carries its type's odd-offset pair (`optics.Lights`)."""
     i = np.searchsorted(pieces.starts, lo, side="right") - 1
     j = np.searchsorted(pieces.starts, hi)
-    starts, per_slot = pieces.starts[i:j].copy(), pieces.per_slot[i:j]
-    fields = [f[:, i:j] for f in (pieces.levels, pieces.k, pieces.bound)]
-    if (lo - starts[0]) & 1 and not per_slot[0]:
-        fields = [np.concatenate((f[:, :1, ::-1], f[:, 1:]), axis=1) for f in fields]
+    starts, light = pieces.starts[i:j].copy(), pieces.light[i:j]
+    if (lo - starts[0]) & 1:
+        light = light.copy()
+        light[0] ^= 1
     starts[0] = lo
-    return Pieces(starts, fields[0], per_slot, *fields[1:])
+    return pieces._replace(starts=starts, light=light)
 
 
 def _joined(parts: list) -> Pieces:
+    """Consecutive pieces as one; the last part's types cover all of them."""
     if len(parts) == 1:
         return parts[0]
-    return Pieces(*(np.concatenate(f, axis=-1 if f[0].ndim == 1 else 1) for f in zip(*parts)))
+    return Pieces(np.concatenate([p.starts for p in parts]),
+                  np.concatenate([p.light for p in parts]), parts[-1].types)
 
 
 def chunks(chain: OpticalChain, n_slots: int, detectors):
@@ -390,17 +404,18 @@ def chunks(chain: OpticalChain, n_slots: int, detectors):
     count: an honest run is cut every few 10^7 slots at stock loss, a
     latched attacked stretch costs its pieces only, and a heavy piece is
     cut inside.  The pieces are evaluated once, in steps of 2^10 cycles
-    under an attack plan and all at once without one, with their
-    candidate levels and bounds (`_with_levels`), and handed to the
-    chunks that hold them.
+    under an attack plan and all at once without one, with the table of
+    their light types (`_typed`), and handed to the chunks that hold them.
     """
     budget = CHUNK_SLOTS
     step = chain.source.cfg.cycle_slots << 10 if isinstance(chain.source, AttackPlan) else n_slots
-    lo, done, held = 0, 0.0, []  # done: work since lo, held in pieces
+    lo, done, held, types = 0, 0.0, [], None  # done: work since lo, held in pieces
     for a in range(0, n_slots, step):
         b = min(a + step, n_slots)
-        pieces = _with_levels(chain.pieces(a, b), detectors)
-        fixed, rate = _work(pieces, detectors)
+        pieces = chain.pieces(a, b)
+        types = _typed(chain, detectors, types)
+        pieces = pieces._replace(types=types)
+        fixed, rate = types.fixed[pieces.light], types.rate[pieces.light]
         length = np.diff(pieces.starts, append=b)
         total = done + np.cumsum(fixed + rate * length)
         # The due-th unit lies in piece i: its fixed units come first, then
@@ -457,8 +472,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
             # Slots never cross a chunk, so each chunk's clicks are merged
             # and sifted on their own, and appended to the run's.
             part = ClickLog.merge([
-                simulate_block(lo, hi, spans[d], pieces.starts, pieces.k[d], pieces.bound[d],
-                               shown_at, params, det_states[d], streams.detectors[d])
+                simulate_block(lo, hi, spans[d], pieces.starts, pieces.light, pieces.types.k[d],
+                               pieces.types.bound[d], shown_at, params, det_states[d],
+                               streams.detectors[d])
                 for d, params in enumerate(cfg.detectors)
             ])
             sres.add(sift(part, alice.key_bits_at))

@@ -11,17 +11,19 @@ detectors.
 slot to slot.  The source describes its light in closed form
 (`pattern`): pieces over which a slot and its predecessor carry the same
 light and the phase difference is constant, alternates, or is drawn per
-slot.  `pieces` evaluates the source at each piece's first slot and its
-predecessor (slot 0's is vacuum) and gives the piece two levels per
-detector: the levels its even and its odd offsets show, or, where the
-difference is drawn per slot, the levels at difference 0 and pi.
-`shown` tells which of the two a slot shows, so a slot's incident mean
-is read from its piece, never recomputed.
+slot, each tagged with the light it carries.  A run repeats a few lights
+over many pieces (an attacked cycle is one phase program), so each piece
+carries a light type, a row of the chain's `Lights`: the first piece of
+a new tag is evaluated, at its first slot and its predecessor (slot 0's
+is vacuum), as two levels per detector: the levels its even and its odd
+offsets show, or, where the difference is drawn per slot, the levels at
+difference 0 and pi.  `shown` tells which of the two a slot shows, so a
+slot's incident mean is read from its piece's type, never recomputed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -116,31 +118,46 @@ def mzi_ports(mean, cos_dphi, mean_prev):
 
 class Pieces(NamedTuple):
     """A slot range split into pieces of constant light (see
-    `OpticalChain.pieces`).  `k` and `bound` are left out by the chain;
-    the engine computes them once per piece, right after the chain
-    evaluates it (`engine.chunks`), and carries them with `levels`."""
+    `OpticalChain.pieces`), each carrying a light type: a row of the
+    chain's `Lights`.  `types` is left out by the chain; the engine adds
+    what the detectors make of each light type (`engine.Types`)."""
 
-    starts: np.ndarray    # first slot of each piece, the first at the range's start
-    levels: np.ndarray    # [d, i, 2]: detector d+1's incident mean at the even and
-                          # the odd offsets of piece i, or, per slot, at bit 0 and 1
-    per_slot: np.ndarray  # whether piece i's phase difference is drawn per slot
-    k: np.ndarray | None = None      # [d, i, 2] int8: the candidate level of each mean
-                                     # (`DetectorParams.level`), -1 where it cannot click
-    bound: np.ndarray | None = None  # [d, i, 2]: its thinning bound p 2^k
+    starts: np.ndarray  # first slot of each piece, the first at the range's start
+    light: np.ndarray   # the light type (a row of `OpticalChain.lights`) of piece i
+    types: object = None
+
+
+class Lights:
+    """The distinct lights of a run, one row per light type, added as
+    `OpticalChain.pieces` meets them.  Row r holds the four detectors'
+    incident means at the even and the odd offsets of a piece of type r,
+    or, in a per-slot piece, at phase difference 0 and pi (`levels`,
+    [d, r, 2]).  Rows come in pairs: r ^ 1 is the light of r entered at an
+    odd offset, its two means swapped unless per-slot.  `row` maps the
+    source's tags to rows, -1 where no piece has carried the tag yet."""
+
+    def __init__(self, n_tags: int):
+        self.row = np.full(n_tags, -1, dtype=np.intp)
+        self.levels = np.empty((4, 0, 2))
+        self.per_slot = np.empty(0, dtype=bool)
 
 
 @dataclass(frozen=True)
 class OpticalChain:
     """Bob's receiver, source (`protocol.AliceSource` or
     `attack.AttackPlan`) -> band-pass filter -> interferometer ->
-    couplers, as the four detectors' incident means per piece of constant
-    light.  `flip_rng` draws the phase flips."""
+    couplers, as the four detectors' incident means per type of light
+    (`lights`).  `flip_rng` draws the phase flips."""
 
     source: object
     bandpass: BandpassFilter
     coupler: CouplerModel
     phase_flip_prob: float
     flip_rng: object
+    lights: Lights = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lights", Lights(self.source.n_tags))
 
     def _fields(self, slots: np.ndarray):
         """(mean, mean_prev, dparity, wavelength) at `slots`: the filtered
@@ -155,13 +172,13 @@ class OpticalChain:
         return mean[:n], mean_prev, parity[:n] ^ parity[n:], lam[:n]
 
     def shown(self, pieces: Pieces, slots: np.ndarray, piece: np.ndarray) -> np.ndarray:
-        """Which of its piece's two levels each of `slots` (sorted, in the
+        """Which of its light's two levels each of `slots` (sorted, in the
         pieces `piece`) shows: its offset parity in a patterned piece, and
         in a per-slot piece its phase-difference bit, flips included, from
         the source's parities at the slot and its predecessor."""
-        per_slot = pieces.per_slot[piece]
-        if per_slot.all():
+        if self.lights.per_slot.all():
             return self._bits(slots)
+        per_slot = self.lights.per_slot[pieces.light[piece]]
         shown = (slots - pieces.starts[piece]) & 1
         at = np.flatnonzero(per_slot)
         shown[at] = self._bits(slots[at])
@@ -176,22 +193,44 @@ class OpticalChain:
         return bit
 
     def pieces(self, lo: int, hi: int) -> Pieces:
-        """Split [lo, hi) at the source's pattern boundaries.  The source
-        splits wherever a slot's light or its predecessor's changes, so
-        every slot of a piece shows one of the piece's two levels per
-        detector (`shown`): slot start + t of a constant or alternating
-        piece shows its level t & 1, a slot of a per-slot piece its level
-        at its phase-difference bit.  Phase flips make every piece
-        per-slot."""
-        starts, kind = self.source.pattern(lo, hi)
+        """Split [lo, hi) at the source's pattern boundaries, each piece
+        with its light type.  The source splits wherever a slot's light or
+        its predecessor's changes, and tags each piece so that pieces with
+        one tag carry one light (`pattern`), so every slot of a piece shows
+        one of its type's two levels per detector (`shown`): slot start + t
+        of a constant or alternating piece its level t & 1, a slot of a
+        per-slot piece its level at its phase-difference bit.  A tag met
+        for the first time is evaluated at its first piece."""
+        starts, kind, tag = self.source.pattern(lo, hi)
+        light = self.lights.row[tag]
+        new = np.flatnonzero(light < 0)
+        if len(new):
+            self._add(starts[new], kind[new], tag[new])
+            light = self.lights.row[tag]
+        return Pieces(starts, light)
+
+    def _add(self, starts: np.ndarray, kind: np.ndarray, tag: np.ndarray):
+        """Add a pair of rows to `lights` for each pair of tags (t, t ^ 1)
+        among `tag`, evaluated at the first of the pieces `starts` that
+        carries one of them.  Phase flips make every piece per-slot."""
+        pair = tag >> 1
+        order = np.argsort(pair, kind="stable")
+        first = order[np.append(True, pair[order][1:] != pair[order][:-1])]
         if self.phase_flip_prob > 0.0:
             kind = np.full_like(kind, PER_SLOT)
-        mean, mean_prev, dparity, lam = (v[:, None] for v in self._fields(starts))
-        # Odd offsets show the other difference unless the piece is
-        # constant; a per-slot piece holds the levels at difference 0 and pi.
-        offset = np.array([[0, 1]], dtype=np.uint8)
-        per_slot = kind[:, None] == PER_SLOT
-        shown = np.where(per_slot, offset, dparity ^ (offset & (kind[:, None] != CONSTANT)))
+        kind, tag = kind[first, None, None], tag[first, None, None]
+        mean, mean_prev, dparity, lam = (v[:, None, None] for v in self._fields(starts[first]))
+        # Row r of a pair is its light entered at an even (r = 0) or an odd
+        # offset, and offset t of it shows the difference the piece was
+        # evaluated at, flipped by r ^ t ^ the tag's offset parity unless the
+        # piece is constant.  A per-slot piece holds the levels at 0 and pi.
+        r_xor_t = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        shown = np.where(kind == PER_SLOT, r_xor_t[0],
+                         dparity ^ ((tag ^ r_xor_t) & 1 & (kind != CONSTANT)))
         port1, port2 = mzi_ports(mean, 1.0 - 2.0 * shown, mean_prev)
         levels = np.stack((*self.coupler.split(port1, lam), *self.coupler.split(port2, lam)))
-        return Pieces(starts, levels, kind == PER_SLOT)
+        lights = self.lights
+        row = len(lights.per_slot) + 2 * np.arange(len(first))
+        lights.row[pair[first] << 1], lights.row[pair[first] << 1 | 1] = row, row + 1
+        lights.levels = np.concatenate((lights.levels, levels.reshape(4, -1, 2)), axis=1)
+        lights.per_slot = np.concatenate((lights.per_slot, np.repeat(kind.ravel() == PER_SLOT, 2)))

@@ -49,6 +49,8 @@ class AliceSource:
     `wavelength_nm` describe every pulse as it reaches Bob.
     """
 
+    n_tags = 4  # the tags of `pattern`: slot 0 and the rest, at an even or odd offset
+
     def __init__(self, mode: str, rng: SlotRng, mean: float = 0.0,
                  wavelength_nm: float = 1551.0):
         if mode not in ("random", "static_0pi"):
@@ -64,13 +66,14 @@ class AliceSource:
         return np.full(n, self.mean), self.parity_at(slots), np.full(n, self.wavelength_nm)
 
     def pattern(self, lo: int, hi: int):
-        """Pieces of [lo, hi) and how the phase difference runs over each
-        (see `optics.OpticalChain.pieces`): per slot for random phases,
-        constant (pi) for the 0, pi alternation.  Slot 0 follows vacuum,
-        so it is a piece of its own."""
+        """Pieces of [lo, hi), how the phase difference runs over each and
+        the light each carries (see `optics.OpticalChain.pieces`):
+        per slot for random phases, constant (pi) for the 0, pi
+        alternation.  Slot 0 follows vacuum, so it is a piece, and a tag,
+        of its own."""
         starts = np.array([lo, 1] if lo == 0 and hi > 1 else [lo], dtype=np.int64)
         kind = PER_SLOT if self.mode == "random" else CONSTANT
-        return starts, np.full(len(starts), kind, dtype=np.int8)
+        return starts, np.full(len(starts), kind, dtype=np.int8), 2 * (starts > 0)
 
     def parity_at(self, slots):
         s = np.asarray(slots, dtype=np.int64)

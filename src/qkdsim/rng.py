@@ -27,6 +27,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
 _INV_2_53 = 1.0 / (1 << 53)
+_MASK = (1 << 64) - 1
 
 # The highest dyadic level: a level-k sub-block holds 2^k slots, and with
 # slots below 2^62 a walk through the last one stays within int64.
@@ -57,15 +58,23 @@ def mix64(x):
     return _mix(np.array(x, dtype=np.uint64))
 
 
+def _mix_int(z: int) -> int:
+    """`_mix` of one Python int in [0, 2^64): no numpy call, so a seed
+    costs microseconds."""
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
 def derive_seed(master: int, tag: str, index: int = 0) -> int:
     """Stable 64-bit stream seed from a master seed, a label, and an index."""
     h = 0xCBF29CE484222325  # FNV-1a over the tag bytes
     for b in tag.encode("utf-8"):
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    with np.errstate(over="ignore"):
-        z = mix64(_U64(master & 0xFFFFFFFFFFFFFFFF) ^ _U64(h))
-        z = mix64(z + (_U64(index & 0xFFFFFFFFFFFFFFFF) + _U64(1)) * _GOLDEN)
-    return int(z)
+        h = ((h ^ b) * 0x100000001B3) & _MASK
+    z = _mix_int((master & _MASK) ^ h)
+    return _mix_int((z + ((index & _MASK) + 1) * 0x9E3779B97F4A7C15) & _MASK)
 
 
 def child_seed(master: int, index: int) -> int:
@@ -87,7 +96,7 @@ class SlotRng:
     def __init__(self, seed: int):
         self.seed = int(seed)
         # (index + 1) * golden + seed == index * golden + _offset (mod 2^64)
-        self._offset = _U64((seed + int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
+        self._offset = _U64((seed + int(_GOLDEN)) & _MASK)
         self._levels = {}  # k -> the level-k stream, derived once
 
     def raw_at(self, index):

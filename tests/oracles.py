@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from qkdsim.attack import PORT1, PORT2, AttackPlan, eve_outcome
-from qkdsim.detector import BlockState, DetectorParams
+from qkdsim.detector import LIGHT_SPEED_M_S, PLANCK_J_S, BlockState, DetectorParams
 from qkdsim.engine import CHUNK_SLOTS, compute_metrics
 from qkdsim.protocol import AliceSource, ClickLog, sift
 from qkdsim.rng import RunStreams, SlotRng, derive_seed
@@ -493,3 +493,13 @@ def run_scenario_dense(cfg):
             c.append(simulate_block_dense(incident, lo, params, state, rng))
     log = ClickLog.merge([np.concatenate(c) for c in clicks])
     return log, compute_metrics(cfg, sift(log, alice.key_bits_at), log)
+
+
+def photons_to_dBm(photons_per_slot: float, clock_hz: float, wavelength_nm: float) -> float:
+    """Average optical power, in dBm, of a photon flux at the given clock:
+    the inverse of `detector.dBm_to_photons`."""
+    if photons_per_slot <= 0.0 or clock_hz <= 0.0 or wavelength_nm <= 0.0:
+        raise ValueError("all arguments must be positive")
+    energy_j = PLANCK_J_S * LIGHT_SPEED_M_S / (wavelength_nm * 1e-9)
+    watts = photons_per_slot * clock_hz * energy_j
+    return 10.0 * math.log10(watts / 1e-3)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qkdsim.cli import PRESETS, config_from_dict
-from qkdsim.detector import DetectorParams, count_rate_sweep, photons_to_dBm
+from qkdsim.detector import DetectorParams, count_rate_sweep
 from qkdsim.engine import config_with, run_scenario, run_sweep
 from qkdsim.optics import mzi_ports
 from qkdsim.protocol import KeyRateInputs, secure_fraction, secure_key_length
@@ -23,6 +23,7 @@ from oracles import (
     SECURE_FRACTION_E032,
     Detector,
     mzi_ports_by_amplitude,
+    photons_to_dBm,
     secure_fraction_reference,
 )
 

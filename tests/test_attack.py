@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim.attack import AttackConfig, AttackPlan, PORT1, PORT2, eve_outcome
-from qkdsim.detector import DetectorParams, photons_to_dBm
+from qkdsim.detector import DetectorParams
 from qkdsim.engine import ConfigError, ScenarioConfig, config_with
-from qkdsim.optics import ALTERNATING, CONSTANT, CouplerModel, mzi_ports
+from qkdsim.optics import ALTERNATING, CONSTANT, PER_SLOT, CouplerModel, mzi_ports
 from qkdsim.protocol import AliceSource
 from qkdsim.rng import SlotRng
 
-from oracles import channel_fields_dense, entry_parity_reference
+from oracles import channel_fields_dense, entry_parity_reference, photons_to_dBm
 
 SIGNAL = 0.2 * 10.0**-1.8
 
@@ -228,7 +228,9 @@ def test_pattern_describes_every_slot(blinding, window, q, alice_mode, intercept
     """Over each piece of `AttackPlan.pattern`, every slot and its
     predecessor carry the light of the piece's first slot and its
     predecessor, and the phase difference (as the dense reference fills
-    it) is constant or alternates as the piece's kind says."""
+    it) is constant or alternates as the piece's kind says.  Pieces with
+    one tag have one kind, one light and predecessor light, and, unless
+    per-slot, one first phase difference."""
     cfg = AttackConfig(
         enabled=True, mode="intercept_resend" if intercept else "emulation",
         blinding_slots=blinding, recovery_window_slots=window, attacked_fraction=q,
@@ -243,16 +245,23 @@ def test_pattern_describes_every_slot(blinding, window, q, alice_mode, intercept
     prev_light = np.vstack(([[0.0, 0.0]], light[:-1]))
     diff = parity ^ np.concatenate(([0], parity[:-1])).astype(np.uint8)
     bounds = sorted(set(cuts) | {0, n})
+    seen = {}
     for lo, hi in zip(bounds, bounds[1:]):
-        starts, kinds = plan.pattern(lo, hi)
+        starts, kinds, tags = plan.pattern(lo, hi)
         assert starts[0] == lo and np.all(np.diff(starts) > 0) and starts[-1] < hi
-        for a, b, kind in zip(starts.tolist(), starts[1:].tolist() + [hi], kinds.tolist()):
+        assert np.all((tags >= 0) & (tags < plan.n_tags))
+        for a, b, kind, tag in zip(starts.tolist(), starts[1:].tolist() + [hi], kinds.tolist(),
+                                   tags.tolist()):
             assert np.all(light[a:b] == light[a]) and np.all(prev_light[a:b] == prev_light[a])
             t = np.arange(b - a)
             if kind == CONSTANT:
                 assert np.all(diff[a:b] == diff[a])
             elif kind == ALTERNATING:
                 assert np.all(diff[a:b] == diff[a] ^ (t & 1))
+            # Slot 0's difference is to vacuum, so any.
+            first_diff = -1 if kind == PER_SLOT or a == 0 else diff[a]
+            described = (kind, *light[a], *prev_light[a], first_diff)
+            assert seen.setdefault(tag, described) == described
 
 
 @settings(deadline=None, max_examples=80)

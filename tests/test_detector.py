@@ -11,12 +11,11 @@ from qkdsim.detector import (
     count_rate_sweep,
     dBm_to_photons,
     latched_spans,
-    photons_to_dBm,
     simulate_block,
 )
 from qkdsim.rng import SlotRng
 
-from oracles import Detector, Mode
+from oracles import Detector, Mode, photons_to_dBm
 
 
 def params(**kw):
@@ -47,7 +46,7 @@ def dense_block(incident, base, par, state, rng):
     means = np.append(incident, 0.0)[starts]
     level, bound = par.level(np.column_stack((means, means)))
     return simulate_block(
-        base, base + len(incident), spans, base + starts, level, bound,
+        base, base + len(incident), spans, base + starts, np.arange(len(starts)), level, bound,
         lambda slots, piece: np.zeros(len(slots), np.intp), par, state, rng,
     )
 

@@ -131,12 +131,13 @@ def test_chunk_size_does_not_change_the_run(case, monkeypatch):
 
 
 def _spy_chunks(monkeypatch):
-    """Record the attack plan and the chunk boundaries of the next run."""
+    """Record the chain, its attack plan and the chunk boundaries of the
+    next run."""
     seen = {}
     chunks = engine.chunks
 
     def spy(chain, n_slots, detectors):
-        seen["plan"], seen["bounds"] = chain.source, [0]
+        seen["chain"], seen["plan"], seen["bounds"] = chain, chain.source, [0]
         for lo, hi, pieces in chunks(chain, n_slots, detectors):
             seen["bounds"].append(hi)
             yield lo, hi, pieces
@@ -203,8 +204,8 @@ def test_full_attack_runs_in_a_handful_of_chunks(monkeypatch):
 
 def test_each_level_and_candidate_stream_is_computed_once(monkeypatch):
     """A partial-attack run cut into many chunks derives each (detector,
-    level) candidate stream once, and computes candidate levels only where
-    pieces are evaluated: once per piece and detector."""
+    level) candidate stream once, and computes candidate levels once per
+    light type and detector, as the types are met."""
     derived, levelled, evaluated = collections.Counter(), [], []
     derive_seed, level, pieces = rng.derive_seed, DetectorParams.level, OpticalChain.pieces
 
@@ -232,7 +233,20 @@ def test_each_level_and_candidate_stream_is_computed_once(monkeypatch):
     assert len(seen["bounds"]) > 20 and len(evaluated) == 3
     assert {seed for seed, _ in derived} == {s.seed for s in RunStreams(cfg.seed).detectors}
     assert set(derived.values()) == {1}
-    assert levelled == [(n, 2) for n in evaluated for _ in range(4)]
+    added = [n for n, _ in levelled[::4]]
+    assert levelled == [(n, 2) for n in added for _ in range(4)]
+    assert sum(added) == len(seen["chain"].lights.per_slot)
+
+
+def test_light_types_do_not_grow_with_the_run(monkeypatch):
+    """A partial-attack run meets as many light types at 1e8 slots as at
+    1e6: the types come from the cycle program, not from the cycles."""
+    counts = []
+    for n_slots in (1_000_000, 100_000_000):
+        seen = _spy_chunks(monkeypatch)
+        run_scenario(_preset("partial-attack", n_slots=n_slots))
+        counts.append(len(seen["chain"].lights.per_slot))
+    assert counts[0] == counts[1] < 40
 
 
 def test_failure_names_the_chunk_that_failed(monkeypatch):
@@ -328,27 +342,32 @@ def test_engine_matches_dense_oracle(case):
     blind=st.floats(min_value=1.0, max_value=1e6),
     blind_nm=st.sampled_from([1551.0, 1552.5, 1561.0]),
     flip=st.sampled_from([0.0, 0.3]),
+    mode=st.sampled_from(["emulation", "intercept_resend"]),
+    alice_mode=st.sampled_from(["random", "static_0pi"]),
     seed=st.integers(min_value=0, max_value=2**32),
     chunk=st.integers(min_value=1, max_value=200),
 )
 def test_piece_levels_cover_every_slot(
-    mu, loss, efficiency, dark, slope, filter_on, blind, blind_nm, flip, seed, chunk
+    mu, loss, efficiency, dark, slope, filter_on, blind, blind_nm, flip, mode, alice_mode,
+    seed, chunk
 ):
     """Every slot shows, at the index `OpticalChain.shown` gives, its exact
-    incident mean, bit for bit, whether its chunk's pieces are evaluated
-    for the chunk or cut out of the whole run's (`engine._slice`).  The
-    run covers slot 0 and the first slots of cycles after attacked and
-    after pass-through ones."""
+    incident mean, bit for bit, in the light type its piece carries,
+    whether its chunk's pieces are evaluated for the chunk or cut out of
+    the whole run's (`engine._slice`).  The run covers slot 0 and the
+    first slots of cycles after attacked and after pass-through ones;
+    intercept mode adds port-1 and unserved cycles."""
     cfg = ScenarioConfig(
         n_slots=1000,
         mu=mu,
         channel_loss_dB=loss,
         phase_flip_prob=flip,
+        alice_mode=alice_mode,
         filter=BandpassFilter(enabled=filter_on),
         coupler=CouplerModel(ratio_slope_per_nm=slope),
         detectors=(DetectorParams(efficiency=efficiency, dark_prob_per_slot=dark),) * 4,
         attack=AttackConfig(
-            enabled=True, blind_photons_per_slot=blind, blinding_slots=40,
+            enabled=True, mode=mode, blind_photons_per_slot=blind, blinding_slots=40,
             recovery_window_slots=10, attacked_fraction=0.5, blind_wavelength_nm=blind_nm,
         ),
         seed=seed,
@@ -359,44 +378,50 @@ def test_piece_levels_cover_every_slot(
     assume((~plan.attacked[:-1] & plan.attacked[1:]).any())
     incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
     chain = OpticalChain(plan, cfg.filter, cfg.coupler, flip, streams.flip)
-    whole = engine._with_levels(chain.pieces(0, cfg.n_slots), cfg.detectors)
+    whole = _typed_pieces(chain, 0, cfg.n_slots, cfg.detectors)
     parts = []
     for lo in range(0, cfg.n_slots, chunk):
         hi = min(lo + chunk, cfg.n_slots)
         parts.append(engine._slice(whole, lo, hi))
-        for pieces in (engine._with_levels(chain.pieces(lo, hi), cfg.detectors), parts[-1]):
+        for pieces in (_typed_pieces(chain, lo, hi, cfg.detectors), parts[-1]):
             _assert_slots_show_their_means(chain, pieces, lo, hi, incidents, cfg.detectors)
     _assert_slots_show_their_means(chain, engine._joined(parts), 0, cfg.n_slots, incidents,
                                    cfg.detectors)
 
 
+def _typed_pieces(chain, lo, hi, detectors):
+    """`chain.pieces(lo, hi)` with the table of the chain's light types."""
+    return chain.pieces(lo, hi)._replace(types=engine._typed(chain, detectors))
+
+
 def _assert_slots_show_their_means(chain, pieces, lo, hi, incidents, detectors):
-    """Each slot of [lo, hi) shows its incident mean, and the candidate
-    level and thinning bound that its piece carries for that mean are
-    `DetectorParams.level` of it."""
+    """Each slot of [lo, hi) shows its incident mean in its piece's light
+    type, and the candidate level and thinning bound that the type table
+    holds for that mean are `DetectorParams.level` of it."""
     slots = np.arange(lo, hi)
     piece = np.searchsorted(pieces.starts, slots, side="right") - 1
-    at = (piece, chain.shown(pieces, slots, piece))
+    at = (pieces.light[piece], chain.shown(pieces, slots, piece))
     for d, params in enumerate(detectors):
-        assert np.array_equal(pieces.levels[d][at], incidents[d][lo:hi])
+        assert np.array_equal(chain.lights.levels[d][at], incidents[d][lo:hi])
         k, bound = params.level(incidents[d][lo:hi])
-        assert np.array_equal(pieces.k[d][at], k)
-        assert np.array_equal(pieces.bound[d][at], bound)
+        assert np.array_equal(pieces.types.k[d][at], k)
+        assert np.array_equal(pieces.types.bound[d][at], bound)
 
 
 @pytest.mark.parametrize("case", ["normal", "flips-under-attack", "odd-window-intercept"])
 def test_pieces_cut_at_odd_offsets_keep_each_slots_level(case):
-    """A chunk cut at an odd offset into a piece: a patterned piece swaps
-    its even and odd levels, candidate levels and bounds, and a per-slot
-    piece (honest random phases, or any piece under phase flips) keeps
-    them at bit 0 and 1; so do the cut pieces joined again."""
+    """A chunk cut at an odd offset into a piece: a patterned piece takes
+    the pair of its light type, whose even and odd levels, candidate
+    levels and bounds are swapped, and a per-slot piece (honest random
+    phases, or any piece under phase flips) keeps them at bit 0 and 1; so
+    do the cut pieces joined again."""
     cfg = dataclasses.replace(CHUNKING_CASES[case](), n_slots=30_011)
     streams = RunStreams(cfg.seed)
     plan, alice = plan_and_source(cfg, streams)
     source = plan if plan is not None else alice
     incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
     chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
-    whole = engine._with_levels(chain.pieces(0, cfg.n_slots), cfg.detectors)
+    whole = _typed_pieces(chain, 0, cfg.n_slots, cfg.detectors)
     cuts = np.array([0, 2, 9_993, 19_987, 20_000, cfg.n_slots])
     assert ((cuts[1:-1] - whole.starts[np.searchsorted(whole.starts, cuts[1:-1]) - 1]) & 1).any()
     parts = [engine._slice(whole, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
@@ -463,7 +488,8 @@ def test_spans_from_the_cycle_plan_match_explicit_bright_slots(
     chain = OpticalChain(plan, cfg.filter, cfg.coupler, flip, streams.flip)
     for lo in range(0, cfg.n_slots, chunk):
         hi = min(lo + chunk, cfg.n_slots)
-        spans = engine.bright_spans(chain, chain.pieces(lo, hi), hi, cfg.detectors)
+        spans = engine.bright_spans(chain, _typed_pieces(chain, lo, hi, cfg.detectors), hi,
+                                    cfg.detectors)
         for (starts, ends), incident, params in zip(spans, incidents, cfg.detectors):
             bright = lo + np.flatnonzero(incident[lo:hi] >= params.blind_threshold_photons)
             assert (starts.tolist(), ends.tolist()) == _spans_of(bright, params.recovery_slots)

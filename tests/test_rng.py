@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qkdsim import rng
 from qkdsim.rng import RunStreams, SlotRng, bernoulli_hits, child_seed, derive_seed, mix64
 
 from oracles import level_hits, splitmix64_outputs
@@ -72,6 +73,31 @@ def test_derive_seed_is_stable():
     assert derive_seed(42, "alice") == derive_seed(42, "alice")
     assert child_seed(10, 3) == child_seed(10, 3)
     assert child_seed(10, 3) != child_seed(10, 4)
+
+
+# Seeds derived by the numpy splitmix64 of an earlier release: a master
+# below 0 or at 2^64 - 1, an index of -1 or 2^64 - 1, an empty and a
+# non-ASCII tag.
+PINNED_SEEDS = [
+    (-1, "alice", 0, 17798832182846110342),
+    (-(2**63), "detector", 3, 9205249794430554544),
+    (42, "candidates", -1, 17928519648614428579),
+    (2**64 - 1, "eve", 0, 17938426545985966531),
+    (2**64 - 1, "candidates", 61, 655284019745797341),
+    (7, "\u0444\u0430\u0437\u0430-\u03c0", 2, 9340796146147219782),
+    (0, "", 0, 16539421115465412304),
+    (20260808, "detector", 2**64 - 1, 9934211899693579377),
+]
+
+
+@pytest.mark.parametrize("master, tag, index, seed", PINNED_SEEDS)
+def test_derive_seed_is_pinned(master, tag, index, seed):
+    assert derive_seed(master, tag, index) == seed
+
+
+def test_scalar_finalizer_matches_the_array_one():
+    x = np.random.default_rng(3).integers(0, 2**64, 2000, dtype=np.uint64, endpoint=False)
+    assert [rng._mix_int(int(v)) for v in x] == mix64(x).tolist()
 
 
 def test_streams_are_independent_of_call_order():
