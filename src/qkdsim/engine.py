@@ -45,7 +45,7 @@ once it holds 2^18 units of expected work, honest or attacked.  Each
 candidate and each sub-block searched for candidates is a unit (about
 4 * 2 * 2^-13 per slot on the stock link, so an honest chunk spans some
 2.6e8 slots), each slot looked at one by one weighs 4 (`_SLOT_UNITS`),
-and each piece 32 (`_PIECE_UNITS`).  An attacked cycle without phase
+and each piece 8 (`_PIECE_UNITS`).  An attacked cycle without phase
 flips is latched but for its recovery window and a few single slots, so
 it costs its pieces and the rare candidates of its windows.  The pieces are
 evaluated once and handed to the chunks that hold them.
@@ -101,14 +101,24 @@ from .protocol import (
 from .rng import RunStreams, child_seed
 
 CHUNK_SLOTS = 1 << 18
-# A piece enters per-detector arrays in both the span builder and the
-# detector stage, so it weighs several units.  CHUNK_SLOTS / 8192, so an
-# attacked chunk holds as many pieces as at a 2^16 budget and 8 units.
-# Measured on partial-attack at 1e8 slots (seed 3, in process, 2 shared
-# vCPUs) at a 2^18 budget: peak RSS 39.2 / 37.1 / 35.3 / 34.3 MB at
-# 8 / 16 / 32 / 64 units, against 34.6 MB at 2^16 and 8; run time
-# 0.13-0.20 s throughout, within the machine's noise.
-_PIECE_UNITS = 32.0
+# A piece costs numpy calls in the span builder and the detector stage,
+# but holds one light-type row, so it weighs a few units, and each chunk
+# pays its own numpy call overhead.  Measured at 1e8 slots on
+# partial-attack (the bench's attack-partial scenario, seed 1) and
+# full-attack (preset seed), 5 fresh processes each on 2 shared vCPUs:
+# chunks, engine time (median over processes of the median of 9 runs
+# after the first) and VmHWM after the first run.
+#   units   partial-attack            full-attack
+#      64   10 chunks  41.2 ms  32.4 MB  13 chunks  20.9 ms  32.2 MB
+#      32    6         32.5     32.5      7         15.8     32.4
+#      16    3         28.0     32.9      4         12.9     33.2
+#       8    2         25.0     33.7      2         11.1     34.1
+#       4    2         25.3     34.6      2         11.8     35.6
+#       2    2         25.6     35.2      1         10.1     35.8
+# Below 8 units the time stops falling and the memory keeps rising.
+# partial-attack with phase_flip_prob 0.01 at 2e7 slots is cut by its
+# per-slot work: 151-153 chunks, 1.7-2.0 s and 43.5 MB at every weight.
+_PIECE_UNITS = 8.0
 # A slot looked at one by one (`bright_spans`) holds some 170 bytes across
 # the chain's per-slot arrays, and gains nothing from a larger chunk, so
 # it weighs CHUNK_SLOTS / 2^16 units: such a chunk holds 2^16 slots, as
@@ -117,6 +127,7 @@ _PIECE_UNITS = 32.0
 # against 43.4 MB at a 2^16 budget; run time 3.0-3.7 s in all three,
 # within the machine's noise.
 _SLOT_UNITS = 4.0
+_CUT_BATCH = 1 << 16  # chunk cuts taken at once (`chunks`)
 _INT_LIMIT = 1 << 62
 
 class ConfigError(ValueError):
@@ -418,20 +429,26 @@ def chunks(chain: OpticalChain, n_slots: int, detectors):
         fixed, rate = types.fixed[pieces.light], types.rate[pieces.light]
         length = np.diff(pieces.starts, append=b)
         total = done + np.cumsum(fixed + rate * length)
-        # The due-th unit lies in piece i: its fixed units come first, then
-        # its per-slot ones.
-        due = np.arange(budget, total[-1], budget)
-        i = np.searchsorted(total, due)
-        before = total[i] - fixed[i] - rate[i] * length[i]
-        into = np.ceil((due - before - fixed[i]) / np.maximum(rate[i], 1e-300))
-        cuts = pieces.starts[i] + np.clip(into, 0, length[i]).astype(np.int64)
-        # The cuts are non-decreasing (`due` rises, and each cut lies in its
-        # piece), so dropping repeats needs no sort.  Not np.unique: its
-        # first call imports numpy.ma, which would take most of a short run.
-        cuts = cuts[cuts > lo]
-        for cut in cuts[np.diff(cuts, prepend=lo) > 0].tolist():
-            yield lo, cut, _joined([*held, _slice(pieces, max(lo, a), cut)])
-            lo, held = cut, []
+        # The cuts are taken _CUT_BATCH at a time: an honest run's one step
+        # may hold more chunks than memory holds cuts.
+        first, batch = float(budget), float(budget * _CUT_BATCH)
+        while first < total[-1]:
+            # The due-th unit lies in piece i: its fixed units come first,
+            # then its per-slot ones.
+            due = np.arange(first, min(first + batch, total[-1]), budget)
+            first += batch
+            i = np.searchsorted(total, due)
+            before = total[i] - fixed[i] - rate[i] * length[i]
+            into = np.ceil((due - before - fixed[i]) / np.maximum(rate[i], 1e-300))
+            cuts = pieces.starts[i] + np.clip(into, 0, length[i]).astype(np.int64)
+            # The cuts are non-decreasing (`due` rises, and each cut lies in
+            # its piece), so dropping repeats needs no sort.  Not np.unique:
+            # its first call imports numpy.ma, which would take most of a
+            # short run.
+            cuts = cuts[cuts > lo]
+            for cut in cuts[np.diff(cuts, prepend=lo) > 0].tolist():
+                yield lo, cut, _joined([*held, _slice(pieces, max(lo, a), cut)])
+                lo, held = cut, []
         if lo < b:
             held.append(_slice(pieces, max(lo, a), b))
         done = float(total[-1]) % budget

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -194,12 +195,52 @@ def test_per_slot_arrays_stay_within_the_budget(case, monkeypatch):
 def test_full_attack_runs_in_a_handful_of_chunks(monkeypatch):
     seen = _spy_chunks(monkeypatch)
     _, m = run_scenario(_preset("full-attack", n_slots=100_000_000))
-    assert len(seen["bounds"]) - 1 <= 8
+    assert len(seen["bounds"]) - 1 <= 3
     # Every cycle is served, a fake click pair each, unless a dark count in
     # its recovery window blocks one detector's edge and so turns the pair
     # into two singles: seed 7 has two such cycles, 2036 and 5857.
     assert (m.coincidences[1], m.singles[2], m.singles[3]) == (9_998, 2, 2)
     assert m.coincidences[1] + (m.singles[2] + m.singles[3]) // 2 == 10_000
+
+
+def test_partial_attack_runs_in_a_handful_of_chunks(monkeypatch):
+    """A 1e8-slot partial attack is latched but for its recovery windows and
+    pass-through cycles: its 35,000 pieces fit in a few chunks."""
+    seen = _spy_chunks(monkeypatch)
+    run_scenario(_preset("partial-attack", n_slots=100_000_000))
+    assert len(seen["bounds"]) - 1 <= 3
+
+
+def _chunk_bounds(cfg, count=None):
+    """(lo, hi) of the first `count` chunks of `cfg` (all if None), cut
+    without simulating them."""
+    streams = RunStreams(cfg.seed)
+    plan, alice = plan_and_source(cfg, streams)
+    source = plan if plan is not None else alice
+    chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
+    cut = itertools.islice(engine.chunks(chain, cfg.n_slots, cfg.detectors), count)
+    return [(lo, hi) for lo, hi, _ in cut]
+
+
+def test_an_honest_run_is_cut_lazily_however_long():
+    """Without an attack plan a run is one step of pieces, and its cuts are
+    taken a batch at a time: the longest run the schema admits (1.8e10
+    chunks at the stock link) yields its first chunks at once, and they
+    are those of a short run, but for a slot of rounding in the work sums."""
+    first = _chunk_bounds(ScenarioConfig(n_slots=(1 << 62) - 1), 3)
+    assert [lo for lo, _ in first] == [0] + [hi for _, hi in first[:-1]]
+    short = _chunk_bounds(ScenarioConfig(n_slots=first[-1][1] + 1), 3)
+    assert np.abs(np.subtract(first, short)).max() <= 1
+    assert first[-1][1] < 1 << 31
+
+
+@pytest.mark.parametrize("case, budget", [("dense", 997), ("partial-attack", 37)])
+def test_cuts_taken_in_small_batches_are_the_same_cuts(case, budget, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_SLOTS", budget)
+    cfg = CHUNKING_CASES[case]()
+    bounds = _chunk_bounds(cfg)
+    monkeypatch.setattr(engine, "_CUT_BATCH", 3)
+    assert _chunk_bounds(cfg) == bounds and len(bounds) > 100
 
 
 def test_each_level_and_candidate_stream_is_computed_once(monkeypatch):
@@ -313,6 +354,14 @@ ORACLE_CASES = {
     # The thinning bound is near 1 and keeps almost every slot.
     "dark-0.9": lambda: _preset("normal", detectors=[{"dark_prob_per_slot": 0.9}] * 4),
     "mu-0": lambda: _preset("normal", mu=0.0),
+    # Pass-through cycles of random phase after pass-through cycles, in
+    # 100-slot cycles, with light that clicks often: a cycle's first slot
+    # shows the port of its phase difference to the previous cycle's last.
+    "partial-intercept-bright": lambda: _preset(
+        "partial-attack", alice_mode="random", mu=2.0, channel_loss_dB=0.0,
+        detectors=[{"efficiency": 0.5, "dead_time_slots": 5}] * 4,
+        attack={"mode": "intercept_resend", "blinding_slots": 90, "recovery_window_slots": 10},
+    ),
     **{case: CHUNKING_CASES[case] for case in (
         "flips-under-attack", "recovery-2", "short-window", "odd-window-intercept",
         "static-bright-honest",
