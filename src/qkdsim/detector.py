@@ -15,8 +15,8 @@ dead time latches the output high without a rising edge, so the detector
 moves to Blinded silently; any bright slot also cancels a pending dead
 time for the same reason.
 
-`simulate_block` is the detector stage the engine runs, for one
-detector over a chunk of slots at a time, without visiting every slot.
+`simulate_block` is the detector stage the engine runs, for the four
+detectors over a chunk of slots at a time, without visiting every slot.
 Bright light enters it as latched spans (`latched_spans`): the first and
 last bright slot of each maximal group of bright slots whose gaps are at
 most `recovery_slots`, built from runs of bright slots that the engine
@@ -36,7 +36,11 @@ when its detector's level-k Bernoulli(2^-k) process hits it
 slot's uniform u on the detector stream: a Bernoulli(p) event, whatever
 the slot's piece or chunk.  Only the live slots of each piece are
 searched, at the levels its dim light has, so a run costs its candidates
-and the sub-blocks they lie in.  A candidate's level and thinning bound
+and the sub-blocks they lie in.  Each detector's live ranges and
+sub-blocks are found first; then each level present is walked once for
+all the detectors that search it, since one stream's counters are
+another's shifted by a constant, and each detector filters, thins and
+resolves its own candidates.  A candidate's level and thinning bound
 p 2^k are read from the table of its piece's light type, which the caller
 computes once per type (`engine._typed`); the chain is asked only which of
 the type's two means the candidate shows.  The clicks equal those of
@@ -52,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .protocol import ClickLog
 from .rng import MAX_LEVEL, SlotRng, bernoulli_hits
 
 PLANCK_J_S = 6.62607015e-34
@@ -157,37 +162,47 @@ def _cut(first, stop, piece_starts, hi):
             piece)
 
 
-def _candidates(rng: SlotRng, k: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The slots, sorted, of the ranges [lo[j], hi[j]) (sorted, disjoint,
-    non-empty) that the level-k process of the detector stream `rng` hits:
-    every slot at level 0, else the hits in the sub-blocks they touch."""
+def _candidates(streams, k: int, ranges, cap: int) -> list:
+    """For each detector stream `streams[i]`, the slots, sorted, of its
+    ranges `ranges[i]` = (lo, hi), [lo[j], hi[j]) sorted, disjoint and
+    non-empty, that its level-k process hits: every slot at level 0, else
+    the hits in the sub-blocks they touch, all streams in one walk."""
     if k == 0:
-        return slot_ranges(lo, hi)
-    blocks = slot_ranges(lo >> k, ((hi - 1) >> k) + 1)
-    blocks = blocks[np.append(True, blocks[1:] != blocks[:-1])]
-    hits = bernoulli_hits(rng.level(k), k, blocks)
-    j = np.maximum(np.searchsorted(lo, hits, side="right") - 1, 0)
-    return hits[(hits >= lo[j]) & (hits < hi[j])]
+        return [slot_ranges(lo, hi) for lo, hi in ranges]
+    blocks = []
+    for lo, hi in ranges:
+        b = slot_ranges(lo >> k, ((hi - 1) >> k) + 1)
+        blocks.append(b[np.append(True, b[1:] != b[:-1])])
+    walked = bernoulli_hits([rng.level(k) for rng in streams], k, blocks, cap)
+    found = []
+    for (lo, hi), hits in zip(ranges, walked):
+        j = np.maximum(np.searchsorted(lo, hits, side="right") - 1, 0)
+        found.append(hits[(hits >= lo[j]) & (hits < hi[j])])
+    return found
 
 
 def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, piece_light: np.ndarray,
-                   level: np.ndarray, bound: np.ndarray, shown_at, params: DetectorParams,
-                   state: BlockState, rng: SlotRng) -> np.ndarray:
-    """Run one detector over the slots [lo, hi); return its click slots,
-    sorted.
+                   level: np.ndarray, bound: np.ndarray, shown_at, detectors, states,
+                   streams, cap: int) -> ClickLog:
+    """Run the detectors over the slots [lo, hi); return their click log.
 
-    Equivalent to stepping the detector's state machine through every
-    slot, given its latched spans `spans` = (starts, ends) in the block
-    (spans closer than `recovery_slots` to the one before, or to the block
-    before, are joined to it), and the pieces of constant light starting
-    at `piece_starts` (the first at `lo`): every dim slot of piece i sees
-    one of the two incident means of its light type t = `piece_light[i]`,
-    whose candidate levels and thinning bounds (`DetectorParams.level`)
-    are `level[t]` and `bound[t]`, and `shown_at(slots, piece)` maps
+    Equivalent to stepping each detector d's state machine through every
+    slot, given its parameters `detectors[d]`, its carried state
+    `states[d]`, its stream `streams[d]` and its latched spans `spans[d]`
+    = (starts, ends) in the block (spans closer than `recovery_slots` to
+    the one before, or to the block before, are joined to it), and the
+    pieces of constant light starting at `piece_starts` (the first at
+    `lo`): every dim slot of piece i sees one of the two incident means of
+    its light type t = `piece_light[i]`, whose candidate levels and
+    thinning bounds at detector d (`DetectorParams.level`) are
+    `level[d, t]` and `bound[d, t]`, and `shown_at(slots, piece)` maps
     sorted slots in the pieces `piece` to the index, 0 or 1, of the one
     each shows.  The levels and bounds are computed by the caller, once
-    per light type, and `shown_at` is called once, for the candidates.
-    Candidate clicks and rising edges are then resolved for dead time.
+    per light type, and `shown_at` is called once per detector, for its
+    candidates.  Each level's candidates are drawn for all detectors in
+    one walk of at most `cap` sub-blocks a round loop
+    (`rng.bernoulli_hits`); each detector's candidate clicks and rising
+    edges are then resolved for dead time.
     """
     # Interval j runs from the end prev[j] of a span (the carried last
     # bright slot for j = 0) to the start of the next (or `hi`).  A dim
@@ -195,36 +210,49 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, piece_ligh
     # since the last bright one (counting itself), so interval j is live
     # from prev[j] + R.  Its live slots in piece i are candidates of each
     # level that a dim level of the piece's light has.
-    starts, ends = spans
-    prev = np.concatenate(([state.last_bright], ends))
-    first = np.maximum(prev + params.recovery_slots, lo)
-    stop = np.append(starts, hi)
-    live = first < stop
-    seg_lo, seg_hi, piece = _cut(first[live], stop[live], piece_starts, hi)
-    seg_light = piece_light[piece]
-    level0, level1 = level[:, 0], level[:, 1]
-    cand, cand_level = [seg_lo[:0]], [seg_lo[:0]]
-    # The levels of the light types present, by counts over [0, MAX_LEVEL].
-    # Not np.unique: its first call imports numpy.ma, which would take most
-    # of a short run.
-    present = level[np.bincount(seg_light, minlength=len(level)) > 0]
-    for k in np.flatnonzero(np.bincount(present[present >= 0])).tolist():
-        at = ((level0 == k) | (level1 == k))[seg_light]
-        cand.append(_candidates(rng, k, seg_lo[at], seg_hi[at]))
-        cand_level.append(np.full(len(cand[-1]), k))
-    cand, k = np.concatenate(cand), np.concatenate(cand_level)
-    order = np.argsort(cand, kind="stable")
-    cand, k = cand[order], k[order]
+    prevs, searched = [], []  # per detector: its span ends, its live ranges by level
+    for (starts, ends), params, state, lv in zip(spans, detectors, states, level):
+        prev = np.concatenate(([state.last_bright], ends))
+        first = np.maximum(prev + params.recovery_slots, lo)
+        stop = np.append(starts, hi)
+        live = first < stop
+        seg_lo, seg_hi, piece = _cut(first[live], stop[live], piece_starts, hi)
+        seg_light = piece_light[piece]
+        # The levels of the light types present, by counts over
+        # [0, MAX_LEVEL].  Not np.unique: its first call imports numpy.ma,
+        # which would take most of a short run.
+        present = lv[np.bincount(seg_light, minlength=len(lv)) > 0]
+        at_level = {}
+        for k in np.flatnonzero(np.bincount(present[present >= 0])).tolist():
+            at = ((lv[:, 0] == k) | (lv[:, 1] == k))[seg_light]
+            at_level[k] = seg_lo[at], seg_hi[at]
+        prevs.append(prev)
+        searched.append(at_level)
+
+    cand = [[np.empty(0, np.int64)] for _ in detectors]
+    cand_level = [[np.empty(0, np.int64)] for _ in detectors]
+    for k in sorted(set().union(*searched)):
+        ds = [d for d, at_level in enumerate(searched) if k in at_level]
+        found = _candidates([streams[d] for d in ds], k, [searched[d][k] for d in ds], cap)
+        for d, hits in zip(ds, found):
+            cand[d].append(hits)
+            cand_level[d].append(np.full(len(hits), k))
 
     # A candidate of level k clicks if k is the level of the mean it shows
     # and u 2^-k < p, that mean's escape probability: Bernoulli(p) in all.
     # A slot that is a candidate at both of its light's levels passes at
     # one at most.
-    piece = np.searchsorted(piece_starts, cand, side="right") - 1
-    at = 2 * piece_light[piece] + shown_at(cand, piece)
-    take = level.ravel()[at] == k
-    take &= rng.uniform_at(cand) < bound.ravel()[at]
-    return _resolve(cand[take], starts, prev, params, state)
+    clicks = []
+    for d, params in enumerate(detectors):
+        c, k = np.concatenate(cand[d]), np.concatenate(cand_level[d])
+        order = np.argsort(c, kind="stable")
+        c, k = c[order], k[order]
+        piece = np.searchsorted(piece_starts, c, side="right") - 1
+        at = 2 * piece_light[piece] + shown_at(c, piece)
+        take = level[d].ravel()[at] == k
+        take &= streams[d].uniform_at(c) < bound[d].ravel()[at]
+        clicks.append(_resolve(c[take], spans[d][0], prevs[d], params, states[d]))
+    return ClickLog.merge(clicks)
 
 
 def _resolve(dim, starts, prev, params: DetectorParams, state: BlockState) -> np.ndarray:
@@ -297,10 +325,13 @@ def count_rate_sweep(
         # Disjoint slot ranges keep the points statistically independent.
         lo, hi = j * slots_per_point, (j + 1) * slots_per_point
         span = np.array([lo, hi - 1] if power >= params.blind_threshold_photons else [], np.int64)
+        # A point has fewer sub-blocks than slots: it is walked in one
+        # round loop.
+        level, bound = params.level([[power, power]])
         clicks = simulate_block(
-            lo, hi, (span[:1], span[1:]), np.array([lo]), np.zeros(1, np.intp),
-            *params.level([[power, power]]),
-            lambda s, piece: np.zeros(len(s), np.intp), params, BlockState(), rng,
+            lo, hi, [(span[:1], span[1:])], np.array([lo]), np.zeros(1, np.intp),
+            level[None], bound[None], lambda s, piece: np.zeros(len(s), np.intp),
+            [params], [BlockState()], [rng], slots_per_point,
         )
         results.append((float(power), clock_hz * len(clicks) / slots_per_point))
     return results

@@ -21,9 +21,9 @@ are a run of step 1 or 2, read off its type; only per-slot pieces with
 a level at some blinding threshold (bright honest light, or attacks with
 phase flips) are looked at slot by slot.  Each detector's runs are
 merged into latched spans (`detector.latched_spans`), and the detector
-stage (`detector.simulate_block`), called once per detector and chunk,
-draws that detector's candidate clicks among the live dim slots between
-its spans.  A slot's incident mean is never recomputed: it is read from
+stage (`detector.simulate_block`), called once per chunk, draws each
+detector's candidate clicks among the live dim slots between its spans,
+in one walk per candidate level for all four detectors.  A slot's incident mean is never recomputed: it is read from
 its piece's type, at the index the chain says it shows
 (`OpticalChain.shown`: the offset parity in a patterned piece, the phase
 difference bit, flips included, in a per-slot piece); so are its
@@ -171,10 +171,7 @@ class ScenarioConfig:
         return ccr_estimate(self.mu, self.transmission, self.mean_efficiency, dark_mean)
 
     def validate(self) -> None:
-        # Types, finiteness and __post_init__s by the schema; a plain dict
-        # or list where a config object or tuple belongs fails to round-trip.
-        if config_from_dict(config_to_dict(self)) != self:
-            raise ConfigError("<root>", "sub-configs must be config objects, detectors a tuple")
+        _check(ScenarioConfig, self, "")  # types and finiteness, by the schema
         if self.clock_hz <= 0.0:
             raise ConfigError("clock_hz", "must be > 0")
         if self.n_slots < 2:
@@ -212,18 +209,25 @@ def _field_types(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
+@functools.cache
+def _kind(tp) -> str:
+    """What config type `tp` is: "object" (a config dataclass), "tuple" (the
+    detectors), "literal" (one of some strings) or "scalar"."""
+    if dataclasses.is_dataclass(tp):
+        return "object"
+    return {tuple: "tuple", typing.Literal: "literal"}.get(typing.get_origin(tp), "scalar")
+
+
 def _build(tp, data, path: str):
     """Build a value of config type `tp` from scenario-file `data` at `path`.
 
     Fail-closed, by the dataclasses' field annotations: an object becomes
     its dataclass (unknown keys are errors), a list of four becomes the
-    detector tuple, a `Literal` field takes one of its strings, and a
-    scalar must have its field's type (an int passes as a float, a bool
-    never as a number; floats must be finite, ints in [-2^62, 2^62) but
-    for the seed).  A ValueError from a `__post_init__` names the object's
-    path.
+    detector tuple, and a leaf must pass `_leaf`.  A ValueError from a
+    `__post_init__` names the object's path.
     """
-    if dataclasses.is_dataclass(tp):
+    kind = _kind(tp)
+    if kind == "object":
         if not isinstance(data, dict):
             raise ConfigError(path or "<root>", "expected an object")
         hints, prefix = _field_types(tp), path + "." if path else ""
@@ -235,15 +239,47 @@ def _build(tp, data, path: str):
             return tp(**kwargs)
         except ValueError as exc:
             raise ConfigError(path or "<root>", str(exc)) from exc
-    if typing.get_origin(tp) is typing.Literal:
-        if data not in typing.get_args(tp):
-            choices = ", ".join(map(repr, typing.get_args(tp)))
-            raise ConfigError(path, f"expected one of {choices}, got {data!r}")
-        return data
-    if typing.get_origin(tp) is tuple:
+    if kind == "tuple":
         if not isinstance(data, list) or len(data) != 4:
             raise ConfigError(path, "expected a list of four objects")
         return tuple(_build(typing.get_args(tp)[0], v, f"{path}.{i}") for i, v in enumerate(data))
+    _leaf(tp, kind, data, path)
+    return data
+
+
+def _check(tp, value, path: str) -> None:
+    """Check a built config value against its config type `tp`, field by
+    field, as `_build` checks scenario-file data: a config object must be
+    of its field's class and the detectors a tuple of four, as `_build`
+    makes them, and a leaf must pass `_leaf`.  The objects'
+    `__post_init__`s ran when they were made."""
+    kind = _kind(tp)
+    if kind == "object" or kind == "tuple":
+        if type(value) is not (tp if kind == "object" else tuple):
+            raise ConfigError("<root>", "sub-configs must be config objects, detectors a tuple")
+        if kind == "object":
+            prefix = path + "." if path else ""
+            for key, hint in _field_types(tp).items():
+                _check(hint, getattr(value, key), prefix + key)
+            return
+        if len(value) != 4:
+            raise ConfigError(path, "expected a list of four objects")
+        for i, v in enumerate(value):
+            _check(typing.get_args(tp)[0], v, f"{path}.{i}")
+        return
+    _leaf(tp, kind, value, path)
+
+
+def _leaf(tp, kind: str, data, path: str) -> None:
+    """Check a leaf value of config type `tp` at `path`: a `Literal` field
+    takes one of its strings, and a scalar must have its field's type (an
+    int passes as a float, a bool never as a number; floats must be
+    finite, ints in [-2^62, 2^62) but for the seed)."""
+    if kind == "literal":
+        if data not in typing.get_args(tp):
+            choices = ", ".join(map(repr, typing.get_args(tp)))
+            raise ConfigError(path, f"expected one of {choices}, got {data!r}")
+        return
     if not isinstance(data, (int, float) if tp is float else tp) or (
         isinstance(data, bool) and tp is not bool
     ):
@@ -254,7 +290,6 @@ def _build(tp, data, path: str):
     # inside it.  The seed is hashed, not added; `validate` checks its range.
     if tp is int and path != "seed" and not -_INT_LIMIT <= data < _INT_LIMIT:
         raise ConfigError(path, "must be in [-2^62, 2^62)")
-    return data
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -488,12 +523,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
             shown_at = functools.partial(chain.shown, pieces)
             # Slots never cross a chunk, so each chunk's clicks are merged
             # and sifted on their own, and appended to the run's.
-            part = ClickLog.merge([
-                simulate_block(lo, hi, spans[d], pieces.starts, pieces.light, pieces.types.k[d],
-                               pieces.types.bound[d], shown_at, params, det_states[d],
-                               streams.detectors[d])
-                for d, params in enumerate(cfg.detectors)
-            ])
+            # A level's walk covers all four detectors, each with about
+            # an eighth of the chunk's work in sub-blocks (`_work`): it
+            # walks that many at a time, as one detector's walk would.
+            part = simulate_block(lo, hi, spans, pieces.starts, pieces.light, pieces.types.k,
+                                  pieces.types.bound, shown_at, cfg.detectors, det_states,
+                                  streams.detectors, max(CHUNK_SLOTS >> 3, 1))
             sres.add(sift(part, alice.key_bits_at))
             grow(slots, part.slots)
             grow(dets, part.detector_ids)

@@ -13,7 +13,11 @@ Bernoulli(2^-k) process hits, walking aligned sub-blocks of 2^k slots by
 geometric gaps, so a stretch of slots costs about two draws per 2^k
 slots instead of one per slot.  Each detector stream has one such
 process per level k (`SlotRng.level`); `detector.simulate_block` tests
-the candidates of the level of each slot's escape probability.
+the candidates of the level of each slot's escape probability.  A
+level's streams are walked together: a stream's counter c is counter
+c + delta of any other stream, for a fixed shift delta (golden is odd,
+so it has an inverse modulo 2^64), so one draw per round serves them all
+and every stream draws what it would draw alone.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INV = pow(0x9E3779B97F4A7C15, -1, 1 << 64)  # golden * _GOLDEN_INV == 1 (mod 2^64)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = np.uint64
@@ -130,11 +135,11 @@ class SlotRng:
         return z.astype(np.uint8)
 
 
-def bernoulli_hits(rng: SlotRng, k: int, blocks: np.ndarray) -> np.ndarray:
-    """The slots, sorted, that a Bernoulli(2^-k) process hits in the aligned
-    sub-blocks `blocks` (sorted, distinct) of 2^k slots, sub-block b being
-    the slots [b 2^k, (b + 1) 2^k); `rng` is the level-k stream
-    (`SlotRng.level`), 0 < k <= MAX_LEVEL.
+def bernoulli_hits(streams, k: int, blocks, cap: int) -> list:
+    """Each stream's hits: the slots, sorted, that a Bernoulli(2^-k)
+    process hits in the aligned sub-blocks `blocks[i]` (sorted, distinct)
+    of 2^k slots, on the level-k stream `streams[i]` (`SlotRng.level`),
+    0 < k <= MAX_LEVEL; sub-block b holds the slots [b 2^k, (b + 1) 2^k).
 
     Each sub-block is walked by geometric gaps: draw j of sub-block b is
     the uniform u at counter b (2^k + 1) + j, its gap
@@ -142,23 +147,41 @@ def bernoulli_hits(rng: SlotRng, k: int, blocks: np.ndarray) -> np.ndarray:
     after them is hit while it lies in the sub-block.  A sub-block takes
     at most 2^k + 1 draws, so no two sub-blocks share a counter.  Each
     round draws once for every sub-block whose walk has not yet left it.
+
+    The streams' sub-blocks are walked in one round loop, at most `cap` of
+    them at a time, so no array exceeds `cap`.  raw_at(c) is
+    mix(c golden + offset), so counter c of stream i is counter
+    c + delta_i of streams[0], delta_i = (offset_i - offset_0) golden^-1
+    modulo 2^64: one `uniform_at` of streams[0] per round draws for every
+    stream, and each draw is the one its own stream gives.
     """
     size = 1 << k
-    counter = blocks * (size + 1)
-    slot = (blocks << k) - 1  # the slot before the next gap
-    end = slot + (size + 1)
-    hits = []
-    while len(counter):
-        gap = np.log1p(-rng.uniform_at(counter))
-        gap /= _LOG_MISS[k]
-        np.minimum(gap, size, out=gap)  # >= 0, so the cast floors it
-        slot = slot + gap.astype(np.int64)
-        slot += 1
-        inside = np.flatnonzero(slot < end)
-        counter, slot, end = counter[inside], slot[inside], end[inside]
-        counter += 1
-        hits.append(slot)
-    return np.sort(np.concatenate(hits)) if hits else blocks
+    edges = np.cumsum([0, *map(len, blocks)])  # stream i's sub-blocks: [edges[i], edges[i + 1])
+    blocks = np.concatenate(blocks)
+    base = int(streams[0]._offset)
+    shifts = [_U64((int(s._offset) - base) * _GOLDEN_INV & _MASK) for s in streams]
+    rounds = []  # each round's hits, and where each stream's start
+    for i in range(0, len(blocks), cap):
+        batch = blocks[i:i + cap]
+        bounds = np.clip(edges - i, 0, len(batch))
+        counter = (batch * (size + 1)).view(np.uint64)
+        for shift, a, b in zip(shifts[1:], bounds[1:-1].tolist(), bounds[2:].tolist()):
+            counter[a:b] += shift
+        slot = (batch << k) - 1  # the slot before the next gap
+        end = slot + (size + 1)
+        while len(counter):
+            gap = np.log1p(-streams[0].uniform_at(counter))
+            gap /= _LOG_MISS[k]
+            np.minimum(gap, size, out=gap)  # >= 0, so the cast floors it
+            slot = slot + gap.astype(np.int64)
+            slot += 1
+            inside = np.flatnonzero(slot < end)
+            counter, slot, end = counter[inside], slot[inside], end[inside]
+            counter += 1
+            bounds = np.searchsorted(inside, bounds)
+            rounds.append((slot, bounds.tolist()))
+    return [np.sort(np.concatenate([blocks[:0], *(hit[at[j]:at[j + 1]] for hit, at in rounds)]))
+            for j in range(len(streams))]
 
 
 class RunStreams:

@@ -183,7 +183,9 @@ def is_candidate(rng: SlotRng, k: int, slot: int) -> bool:
 def level_hits(rng: SlotRng, k: int, blocks: np.ndarray) -> np.ndarray:
     """Slots that the level-k process of detector stream `rng` hits in the
     sub-blocks `blocks`: the first m draws of every sub-block at once, m
-    doubling until each walk has left its sub-block."""
+    doubling until each walk has left its sub-block.  Positions are summed
+    as integers, each capped at the sub-block's end: in float64 a gap
+    above 2^53 would swallow the slot after it."""
     if k == 0:
         return blocks
     stream = SlotRng(derive_seed(rng.seed, "candidates", k))
@@ -191,12 +193,18 @@ def level_hits(rng: SlotRng, k: int, blocks: np.ndarray) -> np.ndarray:
     while True:
         counters = blocks[:, None] * (size + 1) + np.arange(m)
         u = stream.uniform_at(counters.ravel()).reshape(len(blocks), m)
-        pos = np.cumsum(np.floor(np.log1p(-u) / math.log1p(-(2.0 ** -k))) + 1, axis=1) - 1
+        gap = np.minimum(np.floor(np.log1p(-u) / math.log1p(-(2.0 ** -k))), size)
+        pos = np.full(len(blocks), -1, dtype=np.int64)
+        columns = []
+        for step in gap.astype(np.int64).T + 1:
+            pos = np.minimum(pos + step, size)
+            columns.append(pos)
+        pos = np.column_stack(columns) if columns else np.empty((0, m), np.int64)
         if not len(blocks) or (pos[:, -1] >= size).all():
             break
         m *= 2
     inside = pos < size
-    return (blocks[:, None] * size + pos.astype(np.int64))[inside]
+    return (blocks[:, None] * size + pos)[inside]
 
 
 # --- Slot-by-slot detector state machine ---------------------------------

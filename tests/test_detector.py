@@ -46,9 +46,10 @@ def dense_block(incident, base, par, state, rng):
     means = np.append(incident, 0.0)[starts]
     level, bound = par.level(np.column_stack((means, means)))
     return simulate_block(
-        base, base + len(incident), spans, base + starts, np.arange(len(starts)), level, bound,
-        lambda slots, piece: np.zeros(len(slots), np.intp), par, state, rng,
-    )
+        base, base + len(incident), [spans], base + starts, np.arange(len(starts)), level[None],
+        bound[None], lambda slots, piece: np.zeros(len(slots), np.intp), [par], [state], [rng],
+        max(len(incident), 1),
+    ).slots
 
 
 class TestParamsValidation:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qkdsim import engine, rng
+from qkdsim import detector, engine, rng
 from qkdsim.attack import AttackConfig
 from qkdsim.cli import PRESETS, config_from_dict
 from qkdsim.engine import (
@@ -190,6 +190,35 @@ def test_per_slot_arrays_stay_within_the_budget(case, monkeypatch):
     cfg = {**CHUNKING_CASES, **ORACLE_CASES}[case]()
     run_scenario(cfg)
     assert max(sizes) <= budget + cfg.attack.cycle_slots
+
+
+def test_a_level_is_walked_for_all_detectors_an_eighth_of_a_chunk_at_a_time(monkeypatch):
+    """Each level's candidates are drawn for the four detectors in one walk
+    of at most CHUNK_SLOTS >> 3 sub-blocks a round loop, one detector's
+    share of a chunk's work: a dense run has more sub-blocks to a level
+    than that, and no draw of a walk is longer."""
+    walks, walk_draws, draws = [], [], []
+    hits, raw_at = detector.bernoulli_hits, SlotRng.raw_at
+
+    def spy_hits(streams, k, blocks, cap):
+        walks.append((len(streams), sum(map(len, blocks)), cap))
+        draws.clear()
+        found = hits(streams, k, blocks, cap)
+        walk_draws.extend(draws)
+        return found
+
+    def spy_raw_at(self, index):
+        raw = raw_at(self, index)
+        draws.append(raw.size)
+        return raw
+
+    monkeypatch.setattr(detector, "bernoulli_hits", spy_hits)
+    monkeypatch.setattr(SlotRng, "raw_at", spy_raw_at)
+    run_scenario(CHUNKING_CASES["dense"]())
+    cap = engine.CHUNK_SLOTS >> 3
+    assert {(n, c) for n, _, c in walks} == {(4, cap)}
+    assert max(total for _, total, _ in walks) > cap
+    assert max(walk_draws) == cap
 
 
 def test_full_attack_runs_in_a_handful_of_chunks(monkeypatch):
@@ -892,3 +921,13 @@ class TestValidation:
     def test_negative_loss(self):
         with pytest.raises(ConfigError):
             small_cfg(channel_loss_dB=-1.0).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("filter", {"enabled": False}),
+        ("detectors", [DetectorParams()] * 4),
+    ])
+    def test_sub_configs_must_be_config_objects(self, field, value):
+        cfg = dataclasses.replace(small_cfg(), **{field: value})
+        with pytest.raises(ConfigError) as err:
+            cfg.validate()
+        assert str(err.value) == "<root>: sub-configs must be config objects, detectors a tuple"

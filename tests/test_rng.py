@@ -121,7 +121,7 @@ def test_mix64_avalanche():
 def _hit_indicator(seed, k, n_blocks, first_block=0):
     """0/1 per slot of n_blocks level-k sub-blocks from `first_block` on."""
     blocks = np.arange(first_block, first_block + n_blocks, dtype=np.int64)
-    hits = bernoulli_hits(SlotRng(seed).level(k), k, blocks)
+    (hits,) = bernoulli_hits([SlotRng(seed).level(k)], k, [blocks], len(blocks))
     hit = np.zeros(n_blocks << k, dtype=bool)
     hit[hits - (first_block << k)] = True
     return hit
@@ -150,9 +150,30 @@ def test_candidate_hits_uncorrelated_in_adjacent_slots_and_across_sub_block_edge
     assert abs(first.sum() - len(first) * q) < 5.0 * np.sqrt(len(first) * q * (1.0 - q))
 
 
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=24),
-       st.lists(st.integers(min_value=0, max_value=2**30), min_size=1, max_size=40, unique=True))
-def test_candidate_hits_equal_the_dense_reference(seed, k, blocks):
-    blocks = np.array(sorted(blocks), dtype=np.int64)
-    rng = SlotRng(seed)
-    assert np.array_equal(bernoulli_hits(rng.level(k), k, blocks), np.sort(level_hits(rng, k, blocks)))
+def _sub_blocks(k, min_size=0):
+    """Sorted distinct level-k sub-blocks of slots below 2^62."""
+    top = min(2**30, (1 << (62 - k)) - 1)
+    return st.lists(st.integers(min_value=0, max_value=top), min_size=min_size, max_size=40,
+                    unique=True).map(lambda b: np.array(sorted(b), dtype=np.int64))
+
+
+@given(st.data())
+def test_candidate_hits_equal_the_dense_reference(data):
+    """Streams walked together, at most `cap` sub-blocks a round loop, hit
+    what each hits walked alone and what the dense reference hits: 1-4
+    streams, some without sub-blocks and one with more than `cap`."""
+    k = data.draw(st.sampled_from([1, 4, 13, rng.MAX_LEVEL]) | st.integers(1, rng.MAX_LEVEL))
+    seeds = data.draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1,
+                               max_size=4))
+    blocks = [data.draw(_sub_blocks(k, min_size=2 if i == 0 else 0)) for i in range(len(seeds))]
+    order = data.draw(st.permutations(range(len(seeds))))
+    seeds, blocks = [seeds[i] for i in order], [blocks[i] for i in order]
+    cap = data.draw(st.integers(1, max(map(len, blocks)) - 1))
+    detectors = [SlotRng(seed) for seed in seeds]
+    walked = bernoulli_hits([d.level(k) for d in detectors], k, blocks, cap)
+    assert len(walked) == len(detectors)
+    for d, b, hits in zip(detectors, blocks, walked):
+        (alone,) = bernoulli_hits([d.level(k)], k, [b], max(len(b), 1))
+        assert np.array_equal(hits, alone)
+        assert np.array_equal(hits, np.sort(level_hits(d, k, b)))
+
