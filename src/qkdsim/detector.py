@@ -230,13 +230,13 @@ def simulate_block(lo: int, hi: int, spans, piece_starts: np.ndarray, piece_ligh
         searched.append(at_level)
 
     cand = [[np.empty(0, np.int64)] for _ in detectors]
-    cand_level = [[np.empty(0, np.int64)] for _ in detectors]
+    cand_level = [[np.empty(0, np.int8)] for _ in detectors]
     for k in sorted(set().union(*searched)):
-        ds = [d for d, at_level in enumerate(searched) if k in at_level]
+        ds = [d for d, ranges in enumerate(searched) if k in ranges]
         found = _candidates([streams[d] for d in ds], k, [searched[d][k] for d in ds], cap)
         for d, hits in zip(ds, found):
             cand[d].append(hits)
-            cand_level[d].append(np.full(len(hits), k))
+            cand_level[d].append(np.full(len(hits), k, np.int8))
 
     # A candidate of level k clicks if k is the level of the mean it shows
     # and u 2^-k < p, that mean's escape probability: Bernoulli(p) in all.
