@@ -148,29 +148,38 @@ def bernoulli_hits(streams, k: int, blocks, cap: int) -> list:
     at most 2^k + 1 draws, so no two sub-blocks share a counter.  Each
     round draws once for every sub-block whose walk has not yet left it.
 
-    The streams' sub-blocks are walked in one round loop, at most `cap` of
-    them at a time, so no array exceeds `cap`.  raw_at(c) is
+    The streams share round loops of at most `cap` sub-blocks, so no array
+    exceeds `cap`: a loop takes whole streams while they fit, and a stream
+    is split only where it alone is longer.  raw_at(c) is
     mix(c golden + offset), so counter c of stream i is counter
-    c + delta_i of streams[0], delta_i = (offset_i - offset_0) golden^-1
-    modulo 2^64: one `uniform_at` of streams[0] per round draws for every
-    stream, and each draw is the one its own stream gives.
+    c + delta_i of the loop's first stream s, delta_i = (offset_i -
+    offset_s) golden^-1 modulo 2^64: one `uniform_at` of s per round draws
+    for every stream of the loop, and each draw is the one its own stream
+    gives.
     """
     size = 1 << k
-    edges = np.cumsum([0, *map(len, blocks)])  # stream i's sub-blocks: [edges[i], edges[i + 1])
-    blocks = np.concatenate(blocks)
-    base = int(streams[0]._offset)
-    shifts = [_U64((int(s._offset) - base) * _GOLDEN_INV & _MASK) for s in streams]
-    rounds = []  # each round's hits, and where each stream's start
-    for i in range(0, len(blocks), cap):
-        batch = blocks[i:i + cap]
-        bounds = np.clip(edges - i, 0, len(batch))
+    loops, room = [], 0  # each loop's parts (stream, first, stop), and what it has left
+    for i, b in enumerate(blocks):
+        for first in range(0, len(b), cap):
+            stop = min(first + cap, len(b))
+            if stop - first > room:
+                loops.append([])
+                room = cap
+            loops[-1].append((i, first, stop))
+            room -= stop - first
+    found = [[b[:0]] for b in blocks]
+    for parts in loops:
+        stream = streams[parts[0][0]]
+        batch = np.concatenate([blocks[i][first:stop] for i, first, stop in parts])
+        bounds = np.cumsum([0, *(stop - first for _, first, stop in parts)])
         counter = (batch * (size + 1)).view(np.uint64)
-        for shift, a, b in zip(shifts[1:], bounds[1:-1].tolist(), bounds[2:].tolist()):
-            counter[a:b] += shift
+        for (i, _, _), x, y in zip(parts[1:], bounds[1:-1].tolist(), bounds[2:].tolist()):
+            counter[x:y] += _U64((int(streams[i]._offset) - int(stream._offset)) * _GOLDEN_INV
+                                 & _MASK)
         slot = (batch << k) - 1  # the slot before the next gap
         end = slot + (size + 1)
         while len(counter):
-            gap = np.log1p(-streams[0].uniform_at(counter))
+            gap = np.log1p(-stream.uniform_at(counter))
             gap /= _LOG_MISS[k]
             np.minimum(gap, size, out=gap)  # >= 0, so the cast floors it
             slot = slot + gap.astype(np.int64)
@@ -178,10 +187,13 @@ def bernoulli_hits(streams, k: int, blocks, cap: int) -> list:
             inside = np.flatnonzero(slot < end)
             counter, slot, end = counter[inside], slot[inside], end[inside]
             counter += 1
+            if len(parts) == 1:
+                found[parts[0][0]].append(slot)
+                continue
             bounds = np.searchsorted(inside, bounds)
-            rounds.append((slot, bounds.tolist()))
-    return [np.sort(np.concatenate([blocks[:0], *(hit[at[j]:at[j + 1]] for hit, at in rounds)]))
-            for j in range(len(streams))]
+            for (i, _, _), x, y in zip(parts, bounds[:-1].tolist(), bounds[1:].tolist()):
+                found[i].append(slot[x:y])
+    return [np.sort(np.concatenate(f)) for f in found]
 
 
 class RunStreams:

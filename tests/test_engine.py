@@ -218,7 +218,7 @@ def test_a_level_is_walked_for_all_detectors_an_eighth_of_a_chunk_at_a_time(monk
     cap = engine.CHUNK_SLOTS >> 3
     assert {(n, c) for n, _, c in walks} == {(4, cap)}
     assert max(total for _, total, _ in walks) > cap
-    assert max(walk_draws) == cap
+    assert max(walk_draws) <= cap
 
 
 def test_full_attack_runs_in_a_handful_of_chunks(monkeypatch):
