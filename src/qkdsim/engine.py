@@ -23,22 +23,22 @@ phase flips) are looked at slot by slot.  Each detector's runs are
 merged into latched spans (`detector.latched_spans`), and the detector
 stage (`detector.simulate_block`), called once per chunk, draws each
 detector's candidate clicks among the live dim slots between its spans,
-in one walk per candidate level for all four detectors.  A slot's incident mean is never recomputed: it is read from
-its piece's type, at the index the chain says it shows
-(`OpticalChain.shown`: the offset parity in a patterned piece, the phase
-difference bit, flips included, in a per-slot piece); so are its
-candidate level and thinning bound at each detector.  Slots never cross
-a chunk, so each chunk's four click lists are merged into a click log
-(`protocol.ClickLog.merge`) and sifted (`protocol.sift`) on their own,
-and appended in place to the run's log and sift result (`protocol.grow`),
-so each click is held once; the sift result is reduced to metrics.  Only
-the detectors' state carries from chunk to chunk, and every random draw
-is counter-based (see `rng`), so the click log and metrics are
-byte-identical for a given config regardless of chunking.  A run imports
-no module beyond `import qkdsim`: the first `np.unique` of a process
-imports `numpy.ma` (11-18 ms), more than the whole simulation of a short
-honest run, so distinct values are found by counts or adjacent
-differences instead.
+in one walk per candidate level for all four detectors.  A slot's
+incident mean is never recomputed: it is read from its piece's type, at
+the index the chain says it shows (`OpticalChain.shown`: the offset
+parity in a patterned piece, the phase difference bit, flips included,
+in a per-slot piece); so are its candidate level and thinning bound at
+each detector.  Slots never cross a chunk, so each chunk's four click
+lists are merged into a click log (`protocol.ClickLog.merge`) and sifted
+(`protocol.sift`) on their own, and appended in place to the run's log
+and sift result (`protocol.grow`), so each click is held once; the sift
+result is reduced to metrics.  Only the detectors' state carries from
+chunk to chunk, and every random draw is counter-based (see `rng`), so
+the click log and metrics are byte-identical for a given config
+regardless of chunking.  A run imports no module beyond `import qkdsim`:
+the first `np.unique` of a process imports `numpy.ma` (11-18 ms), more
+than the whole simulation of a short honest run, so distinct values are
+found by counts or adjacent differences instead.
 
 `CHUNK_SLOTS` is the work budget of a chunk (`chunks`): a chunk ends
 once it holds 2^18 units of expected work, honest or attacked.  Each

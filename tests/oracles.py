@@ -199,7 +199,7 @@ def level_hits(rng: SlotRng, k: int, blocks: np.ndarray) -> np.ndarray:
         for step in gap.astype(np.int64).T + 1:
             pos = np.minimum(pos + step, size)
             columns.append(pos)
-        pos = np.column_stack(columns) if columns else np.empty((0, m), np.int64)
+        pos = np.column_stack(columns)
         if not len(blocks) or (pos[:, -1] >= size).all():
             break
         m *= 2
