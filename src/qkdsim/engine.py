@@ -30,9 +30,11 @@ parity in a patterned piece, the phase difference bit, flips included,
 in a per-slot piece); so are its candidate level and thinning bound at
 each detector.  Slots never cross a chunk, so each chunk's four click
 lists are merged into a click log (`protocol.ClickLog.merge`) and sifted
-(`protocol.sift`) on their own, and appended in place to the run's log
-and sift result (`protocol.grow`), so each click is held once; the sift
-result is reduced to metrics.  Only the detectors' state carries from
+(`protocol.sift`) on their own: the log is appended in place to the
+run's (`protocol.grow`), so each click is held once, and the sift is a
+tally of counts (the sifted length, its bit errors, each detector's
+clicks, singles and coincidences) added to the run's, which alone is
+reduced to metrics.  Only the detectors' state carries from
 chunk to chunk, and every random draw is counter-based (see `rng`), so
 the click log and metrics are byte-identical for a given config
 regardless of chunking.  A run imports no module beyond `import qkdsim`:
@@ -515,21 +517,22 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
     chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
 
     det_states = [BlockState() for _ in range(4)]
-    slots, dets, sres = np.empty(0, np.int64), np.empty(0, np.int8), SiftResult()
+    slots, dets, tally = np.empty(0, np.int64), np.empty(0, np.int8), SiftResult()
     lo, hi = 0, cfg.n_slots
     try:
         for lo, hi, pieces in chunks(chain, cfg.n_slots, cfg.detectors):
             spans = bright_spans(chain, pieces, hi, cfg.detectors)
             shown_at = functools.partial(chain.shown, pieces)
             # Slots never cross a chunk, so each chunk's clicks are merged
-            # and sifted on their own, and appended to the run's.
+            # and sifted on their own: its log is appended to the run's,
+            # its tally added to the run's.
             # A level's walk covers all four detectors, each with about
             # an eighth of the chunk's work in sub-blocks (`_work`): it
             # walks that many at a time, as one detector's walk would.
             part = simulate_block(lo, hi, spans, pieces.starts, pieces.light, pieces.types.k,
                                   pieces.types.bound, shown_at, cfg.detectors, det_states,
                                   streams.detectors, max(CHUNK_SLOTS >> 3, 1))
-            sres.add(sift(part, alice.key_bits_at))
+            tally.add(sift(part, alice.key_bits_at))
             grow(slots, part.slots)
             grow(dets, part.detector_ids)
             # `chunks` cuts the next chunk while the loop asks for it: a
@@ -542,22 +545,20 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ClickLog, RunMetrics]:
             f"scenario failed while simulating slots [{lo}, {hi}): {exc}"
         ) from exc
 
-    log = ClickLog(slots, dets)
-    return log, compute_metrics(cfg, sres, log)
+    return ClickLog(slots, dets), compute_metrics(cfg, tally)
 
 
-def compute_metrics(cfg: ScenarioConfig, sres: SiftResult, log: ClickLog) -> RunMetrics:
-    """Post-process a sift result and click log into run metrics."""
+def compute_metrics(cfg: ScenarioConfig, tally: SiftResult) -> RunMetrics:
+    """Reduce a run's sift tally to its metrics."""
     duration_s = cfg.n_slots / cfg.clock_hz
-    counts = log.counts_per_detector()
-    rates = tuple(c / duration_s for c in counts)
+    rates = tuple(tally.click_counts[d] / duration_s for d in (1, 2, 3, 4))
 
-    e = qber(sres) if len(sres) else None  # undefined on an empty sifted key
+    e = qber(tally) if len(tally) else None  # undefined on an empty sifted key
 
     ccr_pairs = {}
     for pair in ("A", "B"):
         try:
-            ccr_pairs[pair] = ccr_measure(sres, pair)
+            ccr_pairs[pair] = ccr_measure(tally, pair)
         except NoDataError:
             ccr_pairs[pair] = None
 
@@ -566,7 +567,7 @@ def compute_metrics(cfg: ScenarioConfig, sres: SiftResult, log: ClickLog) -> Run
     ccr_exp = max(with_data) if with_data else None
     af = attack_fraction_estimate(ccr_exp, est) if ccr_exp is not None else 0.0
 
-    K_sift = len(sres)
+    K_sift = len(tally)
     K_sec, reason = secure_key_length(
         K_sift=K_sift, mu=cfg.mu, T=cfg.transmission, eta=cfg.mean_efficiency, e=e,
         f_e=cfg.error_correction_f, CCR_exp=ccr_exp if ccr_exp is not None else est, CCR_est=est,
@@ -585,8 +586,8 @@ def compute_metrics(cfg: ScenarioConfig, sres: SiftResult, log: ClickLog) -> Run
         ccr_pair_B=ccr_pairs["B"],
         ccr_est=est,
         count_rates_cps=rates,
-        singles=tuple(sres.singles_counts[d] for d in (1, 2, 3, 4)),
-        coincidences=(sres.coincidence_counts["A"], sres.coincidence_counts["B"]),
+        singles=tuple(tally.singles_counts[d] for d in (1, 2, 3, 4)),
+        coincidences=(tally.coincidence_counts["A"], tally.coincidence_counts["B"]),
         K_sift=K_sift,
         K_sec=K_sec,
         attack_fraction_est=af,

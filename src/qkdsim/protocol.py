@@ -114,9 +114,6 @@ class ClickLog:
         order = np.lexsort((dets, slots))
         return cls(slots=slots[order], detector_ids=dets[order])
 
-    def counts_per_detector(self) -> tuple[int, int, int, int]:
-        return tuple(int(np.count_nonzero(self.detector_ids == d)) for d in (1, 2, 3, 4))
-
     def write_csv(self, path) -> None:
         """Write the log as `slot,detector_id` rows, _CSV_ROWS at a time."""
         with open(path, "wb") as f:
@@ -150,18 +147,20 @@ def _csv_rows(*columns) -> bytes:
 
 @dataclass
 class SiftResult:
-    """Outcome of sifting a click log against Alice's key bits.
+    """Tally of a click log sifted against Alice's key bits.
 
-    Every kept slot had exactly one clicking detector; `coincidence_counts`
-    tallies same-slot double clicks within pair A = (Det1, Det2) and
-    pair B = (Det3, Det4).  The extra click counters make the accounting
-    identity singles + 2*coincidences + multiport_clicks + slot0_clicks
-    == total log events testable.
+    `sifted` slots had exactly one clicking detector, and `errors` of them
+    carry a bit other than Alice's; `coincidence_counts` tallies
+    same-slot double clicks within pair A = (Det1, Det2) and pair B =
+    (Det3, Det4), and `click_counts` every click of each detector.  The
+    extra click counters make the accounting identity singles +
+    2*coincidences + multiport_clicks + slot0_clicks == total log events
+    testable.
     """
 
-    alice_bits: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
-    bob_bits: np.ndarray = field(default_factory=lambda: np.empty(0, np.uint8))
-    kept_slots: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    sifted: int = 0
+    errors: int = 0
+    click_counts: dict = field(default_factory=lambda: {1: 0, 2: 0, 3: 0, 4: 0})
     coincidence_counts: dict = field(default_factory=lambda: {"A": 0, "B": 0})
     singles_counts: dict = field(default_factory=lambda: {1: 0, 2: 0, 3: 0, 4: 0})
     discarded_multiport: int = 0
@@ -169,17 +168,13 @@ class SiftResult:
     slot0_clicks: int = 0
 
     def __len__(self) -> int:
-        return len(self.kept_slots)
+        return self.sifted
 
     def add(self, part: "SiftResult") -> None:
-        """Append the sift result of the next disjoint slot range to this
-        one, which only `add` has filled: kept bits and slots extended in
-        place (`grow`), counts summed."""
+        """Add the tally of the next disjoint slot range to this one."""
         for f in fields(self):
             mine, theirs = getattr(self, f.name), getattr(part, f.name)
-            if isinstance(mine, np.ndarray):
-                grow(mine, theirs)
-            elif isinstance(mine, dict):
+            if isinstance(mine, dict):
                 for key in mine:
                     mine[key] += theirs[key]
             else:
@@ -187,17 +182,19 @@ class SiftResult:
 
 
 def grow(into: np.ndarray, part: np.ndarray) -> None:
-    """`into` extended in place by `part`; `into` must own its data and
-    have no views.  realloc moves a large block by remapping its pages,
-    not by copying them, so a run's clicks are held once, where a join of
-    every chunk's parts at the end held them twice."""
+    """`into` extended in place by `part`, as a run's click log grows
+    chunk by chunk; `into` must own its data and have no views.  realloc
+    moves a large block by remapping its pages, not by copying them, so a
+    run's clicks are held once, where a join of every chunk's parts at the
+    end held them twice."""
     n = len(into)
     into.resize(n + len(part), refcheck=False)
     into[n:] = part
 
 
 def sift(log: ClickLog, key_bits_at) -> SiftResult:
-    """Sift a click log into key bits and coincidence statistics.
+    """Sift a click log into a tally: the sifted length, its bit errors
+    and the click and coincidence counts.
 
     `key_bits_at` maps an array of slots >= 1 to Alice's key bits there.
     """
@@ -223,13 +220,15 @@ def sift(log: ClickLog, key_bits_at) -> SiftResult:
         "A": int(np.count_nonzero(multi & (at_port2 == 0))),
         "B": int(np.count_nonzero(multi & (at_port2 == size))),
     }
+    clicks = np.bincount(dets, minlength=5)
+    result.click_counts = {d: int(clicks[d]) for d in (1, 2, 3, 4)}
 
     single_dets = dets[first[single]]
     counts = np.bincount(single_dets, minlength=5)
     result.singles_counts = {d: int(counts[d]) for d in (1, 2, 3, 4)}
-    result.kept_slots = slot[single]
-    result.bob_bits = (single_dets >= 3).astype(np.uint8)
-    result.alice_bits = key_bits_at(result.kept_slots)
+    result.sifted = len(single_dets)
+    # Bob's bit is his port: 0 at detectors 1/2, 1 at detectors 3/4.
+    result.errors = int(np.count_nonzero(key_bits_at(slot[single]) != (single_dets >= 3)))
     return result
 
 
@@ -238,7 +237,7 @@ def qber(result: SiftResult) -> float:
     n = len(result)
     if n == 0:
         raise NoDataError("empty sifted key: QBER is undefined")
-    return float(np.count_nonzero(result.alice_bits != result.bob_bits)) / n
+    return result.errors / n
 
 
 def ccr_estimate(mu: float, T: float, eta: float, d: float) -> float:

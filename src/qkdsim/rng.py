@@ -57,12 +57,6 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64(x):
-    """splitmix64 finalizer of a uint64 scalar or array, as a new uint64
-    array of its shape."""
-    return _mix(np.array(x, dtype=np.uint64))
-
-
 def _mix_int(z: int) -> int:
     """`_mix` of one Python int in [0, 2^64): no numpy call, so a seed
     costs microseconds."""

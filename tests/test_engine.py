@@ -664,6 +664,12 @@ class TestHonestOperation:
             + res.slot0_clicks
             == total
         )
+        # The tallies' clicks, of the run (its count rates) and of the
+        # fresh sift, are the log's counts for each detector.
+        counts = {d: int(np.count_nonzero(log.detector_ids == d)) for d in (1, 2, 3, 4)}
+        assert res.click_counts == counts
+        duration_s = cfg.n_slots / cfg.clock_hz
+        assert m.count_rates_cps == tuple(counts[d] / duration_s for d in (1, 2, 3, 4))
 
     def test_per_detector_slots_strictly_increase(self):
         cfg = small_cfg(n_slots=1_000_000)
