@@ -119,7 +119,7 @@ class AttackPlan:
     (see `eve_outcome`) and is consulted only in intercept mode.
     """
 
-    n_tags = 240  # the tags of `pattern`: 4 rows x 5 columns x 12
+    n_tags = 120  # the tags of `pattern`: 4 rows x 5 columns x 6
 
     def __init__(self, cfg: AttackConfig, n_slots: int, alice, cycle_rng: SlotRng,
                  eve_outcome_at=None):
@@ -208,9 +208,7 @@ class AttackPlan:
         tag names the program's row (a fourth row for a pass-through
         cycle) and column, for a cycle's first slot the previous cycle's
         light (vacuum before slot 0, Eve's or Alice's) and, in a
-        pass-through cycle, its phase difference to that light; its
-        lowest bit is set on a piece entered at an odd offset
-        (`optics.Lights`)."""
+        pass-through cycle, its phase difference to that light."""
         C = self.cfg.cycle_slots
         k = np.arange(lo // C, (hi - 1) // C + 1)
         t = self.targets[k]
@@ -218,17 +216,14 @@ class AttackPlan:
         starts = k[:, None] * C + self._offsets[t]
         kind = self._kinds[t]
         kind[~attacked, 1] = PER_SLOT
-        tag = (np.where(attacked, t, 3)[:, None] * 5 + np.arange(5)) * 12
+        tag = (np.where(attacked, t, 3)[:, None] * 5 + np.arange(5)) * 6
         prev = np.where(k == 0, 0, np.where(self.attacked[k - 1], 1, 2))
         bit = self.alice.parity_at(k * C) ^ self.entry_parity[k]
-        tag[:, 0] += 4 * prev + 2 * (bit & ~attacked)
+        tag[:, 0] += 2 * prev + (bit & ~attacked)
         used = self._used[t]
         starts, kind, tag = starts[used], kind[used], tag[used]
-        inside = (starts > lo) & (starts < hi)
-        at_lo = np.searchsorted(starts, lo, side="right") - 1
-        return (np.concatenate(([lo], starts[inside])),
-                np.concatenate((kind[at_lo:at_lo + 1], kind[inside])),
-                np.concatenate(([tag[at_lo] | (lo - starts[at_lo]) & 1], tag[inside])))
+        held = slice(np.searchsorted(starts, lo, side="right") - 1, np.searchsorted(starts, hi))
+        return np.maximum(starts[held], lo), kind[held], tag[held]
 
     def parity_at(self, slots: np.ndarray) -> np.ndarray:
         """Phase parities at the given slot indices, in closed form from

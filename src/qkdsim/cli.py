@@ -159,10 +159,12 @@ def cmd_sweep_power(args) -> int:
     cfg = resolve_config(args)
     if not args.min_dBm < args.max_dBm:
         raise ConfigError("--min-dbm/--max-dbm", "min must be below max")
-    if args.points < 3:
-        raise ConfigError("--points", "need at least 3 points")
-    if args.slots_per_point < 10**4:
-        raise ConfigError("--slots-per-point", "must be >= 1e4")
+    # A point at candidate level 0 holds all of its slots at once (some
+    # 860 MB at 1e7), and slot numbers stay below points * slots <= 1e11.
+    if not 3 <= args.points <= 10**4:
+        raise ConfigError("--points", "must be in [3, 1e4]")
+    if not 10**4 <= args.slots_per_point <= 10**7:
+        raise ConfigError("--slots-per-point", "must be in [1e4, 1e7]")
     step = (args.max_dBm - args.min_dBm) / (args.points - 1)
     dbms = [args.min_dBm + i * step for i in range(args.points)]
     try:

@@ -42,7 +42,7 @@ all the detectors that search it, since one stream's counters are
 another's shifted by a constant, and each detector filters, thins and
 resolves its own candidates.  A candidate's level and thinning bound
 p 2^k are read from the table of its piece's light type, which the caller
-computes once per type (`engine._typed`); the chain is asked only which of
+computes by type (`engine._typed`); the chain is asked only which of
 the type's two means the candidate shows.  The clicks equal those of
 the slot-by-slot reference state machine in the tests, which follows the
 same definition.

@@ -10,11 +10,12 @@ boundaries of the source's phase-difference pattern, and each piece
 carries a light type (`optics.Pieces`): a row of the chain's table of the
 run's distinct lights, with the two incident levels per detector that
 its slots show (`optics.Lights`).  An attacked run repeats one cycle
-program, so its tens of thousands of pieces share some twenty types.
+program, so its tens of thousands of pieces share some ten types.
 What the detectors make of a type (`Types`: candidate levels and
 thinning bounds by `DetectorParams.level`, which levels are bright, the
-expected work of a piece) is computed once per type (`_typed`), and
-every stage reads it through the pieces' types.
+expected work of a piece) is a table with a row per type, built anew
+only when the chain meets new types (`_typed`), and every stage reads it
+through the pieces' types.
 Where the pattern is closed form (an attacked cycle, or Alice's 0, pi
 alternation) and free of phase flips, a patterned piece's bright slots
 are a run of step 1 or 2, read off its type; only per-slot pieces with
@@ -50,7 +51,10 @@ candidate and each sub-block searched for candidates is a unit (about
 and each piece 8 (`_PIECE_UNITS`).  An attacked cycle without phase
 flips is latched but for its recovery window and a few single slots, so
 it costs its pieces and the rare candidates of its windows.  The pieces are
-evaluated once and handed to the chunks that hold them.
+evaluated once and handed to the chunks that hold them.  A cut inside a
+piece lands at an even offset from its start, or at the next piece's
+start, so each slot keeps its offset parity, and with it the level it
+shows, in every chunking.
 
 Default calibration
 -------------------
@@ -329,7 +333,7 @@ class RunMetrics:
 
 class Types(NamedTuple):
     """What the detectors make of each light type of a run (a row of
-    `OpticalChain.lights`), computed once per type (`_typed`)."""
+    `OpticalChain.lights`), one row per type (`_typed`)."""
 
     k: np.ndarray      # [d, r, 2] int8: the candidate level of each mean
                        # (`DetectorParams.level`), -1 where it cannot click
@@ -343,21 +347,18 @@ class Types(NamedTuple):
 
 
 def _typed(chain: OpticalChain, detectors, known: Types | None = None) -> Types:
-    """`known` extended to every light type of the chain: the one place a
-    run calls `DetectorParams.level`, once per light type and detector."""
-    done = 0 if known is None else len(known.fixed)
-    if done == len(chain.lights.per_slot):
+    """The table of every light type of the chain: `known` if the chain has
+    added none since, else built anew from `chain.lights`, whose rows keep
+    their indices.  The one place a run calls `DetectorParams.level`."""
+    levels, per_slot = chain.lights.levels, chain.lights.per_slot
+    if known is not None and len(known.fixed) == len(per_slot):
         return known
-    levels, per_slot = chain.lights.levels[:, done:], chain.lights.per_slot[done:]
     k, bound = (np.stack(f) for f in zip(*(d.level(lv) for d, lv in zip(detectors, levels))))
     thresholds = np.array([d.blind_threshold_photons for d in detectors])[:, None, None]
     lit = levels >= thresholds
     even, odd = lit[..., 0] & ~per_slot, lit[..., 1] & ~per_slot
     hot = per_slot & (lit[..., 0] | lit[..., 1]).any(axis=0)
-    new = Types(k, bound, lit, even, odd, hot, *_work(k, even, odd, hot, detectors))
-    if known is None:
-        return new
-    return Types(*(np.concatenate((a, b), axis=min(b.ndim - 1, 1)) for a, b in zip(known, new)))
+    return Types(k, bound, lit, even, odd, hot, *_work(k, even, odd, hot, detectors))
 
 
 def bright_spans(chain: OpticalChain, pieces: Pieces, hi: int, detectors) -> list:
@@ -423,16 +424,14 @@ def _work(k, even, odd, hot, detectors):
 
 
 def _slice(pieces: Pieces, lo: int, hi: int) -> Pieces:
-    """The pieces of [lo, hi) out of `pieces`, which cover it; a piece cut
-    at an odd offset carries its type's odd-offset pair (`optics.Lights`)."""
+    """The pieces of [lo, hi) out of `pieces`, which cover it.  `lo` lies
+    at a piece start or an even offset into its piece (`chunks`), so each
+    slot keeps the level its piece's type shows at its offset."""
     i = np.searchsorted(pieces.starts, lo, side="right") - 1
     j = np.searchsorted(pieces.starts, hi)
-    starts, light = pieces.starts[i:j].copy(), pieces.light[i:j]
-    if (lo - starts[0]) & 1:
-        light = light.copy()
-        light[0] ^= 1
+    starts = pieces.starts[i:j].copy()
     starts[0] = lo
-    return pieces._replace(starts=starts, light=light)
+    return pieces._replace(starts=starts, light=pieces.light[i:j])
 
 
 def _joined(parts: list) -> Pieces:
@@ -451,9 +450,14 @@ def chunks(chain: OpticalChain, n_slots: int, detectors):
     so every array it hands a stage is about that long whatever its slot
     count: an honest run is cut every few 10^7 slots at stock loss, a
     latched attacked stretch costs its pieces only, and a heavy piece is
-    cut inside.  The pieces are evaluated once, in steps of 2^10 cycles
-    under an attack plan and all at once without one, with the table of
-    their light types (`_typed`), and handed to the chunks that hold them.
+    cut inside.  A cut inside a piece is rounded up to an even offset from
+    the piece's start, or to the next piece's start: slot start + t of a
+    patterned piece shows its type's level t & 1 (`OpticalChain.shown`),
+    and a chunk's first piece starts at the cut, so the cut must keep each
+    slot's offset parity.  The pieces are evaluated once, in steps of 2^10
+    cycles under an attack plan (each step starts a cycle, and so a piece)
+    and all at once without one, with the table of their light types
+    (`_typed`), and handed to the chunks that hold them.
     """
     budget = CHUNK_SLOTS
     step = chain.source.cfg.cycle_slots << 10 if isinstance(chain.source, AttackPlan) else n_slots
@@ -477,7 +481,9 @@ def chunks(chain: OpticalChain, n_slots: int, detectors):
             i = np.searchsorted(total, due)
             before = total[i] - fixed[i] - rate[i] * length[i]
             into = np.ceil((due - before - fixed[i]) / np.maximum(rate[i], 1e-300))
-            cuts = pieces.starts[i] + np.clip(into, 0, length[i]).astype(np.int64)
+            into = np.clip(into, 0, length[i]).astype(np.int64)
+            # Up to an even offset, or to the next piece's start.
+            cuts = pieces.starts[i] + np.minimum(into + (into & 1), length[i])
             # The cuts are non-decreasing (`due` rises, and each cut lies in
             # its piece), so dropping repeats needs no sort.  Not np.unique:
             # its first call imports numpy.ma, which would take most of a

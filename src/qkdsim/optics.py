@@ -132,9 +132,8 @@ class Lights:
     `OpticalChain.pieces` meets them.  Row r holds the four detectors'
     incident means at the even and the odd offsets of a piece of type r,
     or, in a per-slot piece, at phase difference 0 and pi (`levels`,
-    [d, r, 2]).  Rows come in pairs: r ^ 1 is the light of r entered at an
-    odd offset, its two means swapped unless per-slot.  `row` maps the
-    source's tags to rows, -1 where no piece has carried the tag yet."""
+    [d, r, 2]).  `row` maps the source's tags to rows, -1 where no piece
+    has carried the tag yet."""
 
     def __init__(self, n_tags: int):
         self.row = np.full(n_tags, -1, dtype=np.intp)
@@ -199,8 +198,9 @@ class OpticalChain:
         one tag carry one light (`pattern`), so every slot of a piece shows
         one of its type's two levels per detector (`shown`): slot start + t
         of a constant or alternating piece its level t & 1, a slot of a
-        per-slot piece its level at its phase-difference bit.  A tag met
-        for the first time is evaluated at its first piece."""
+        per-slot piece its level at its phase-difference bit.  `lo` lies at
+        a piece start or an even offset into its piece (`engine.chunks`).
+        A tag met for the first time is evaluated at its first piece."""
         starts, kind, tag = self.source.pattern(lo, hi)
         light = self.lights.row[tag]
         new = np.flatnonzero(light < 0)
@@ -210,27 +210,23 @@ class OpticalChain:
         return Pieces(starts, light)
 
     def _add(self, starts: np.ndarray, kind: np.ndarray, tag: np.ndarray):
-        """Add a pair of rows to `lights` for each pair of tags (t, t ^ 1)
-        among `tag`, evaluated at the first of the pieces `starts` that
-        carries one of them.  Phase flips make every piece per-slot."""
-        pair = tag >> 1
-        order = np.argsort(pair, kind="stable")
-        first = order[np.append(True, pair[order][1:] != pair[order][:-1])]
+        """Add a row to `lights` for each tag among `tag`, evaluated at the
+        first of the pieces `starts` that carries it.  Phase flips make
+        every piece per-slot."""
+        order = np.argsort(tag, kind="stable")
+        first = order[np.append(True, tag[order][1:] != tag[order][:-1])]
         if self.phase_flip_prob > 0.0:
             kind = np.full_like(kind, PER_SLOT)
-        kind, tag = kind[first, None, None], tag[first, None, None]
-        mean, mean_prev, dparity, lam = (v[:, None, None] for v in self._fields(starts[first]))
-        # Row r of a pair is its light entered at an even (r = 0) or an odd
-        # offset, and offset t of it shows the difference the piece was
-        # evaluated at, flipped by r ^ t ^ the tag's offset parity unless the
-        # piece is constant.  A per-slot piece holds the levels at 0 and pi.
-        r_xor_t = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        shown = np.where(kind == PER_SLOT, r_xor_t[0],
-                         dparity ^ ((tag ^ r_xor_t) & 1 & (kind != CONSTANT)))
+        kind = kind[first, None]
+        mean, mean_prev, dparity, lam = (v[:, None] for v in self._fields(starts[first]))
+        # Offset t of a piece shows the difference it was evaluated at,
+        # flipped by t if the piece alternates.  A per-slot piece holds the
+        # levels at 0 and pi.
+        t = np.array([0, 1], dtype=np.uint8)
+        shown = np.where(kind == PER_SLOT, t, dparity ^ (t & (kind == ALTERNATING)))
         port1, port2 = mzi_ports(mean, 1.0 - 2.0 * shown, mean_prev)
         levels = np.stack((*self.coupler.split(port1, lam), *self.coupler.split(port2, lam)))
         lights = self.lights
-        row = len(lights.per_slot) + 2 * np.arange(len(first))
-        lights.row[pair[first] << 1], lights.row[pair[first] << 1 | 1] = row, row + 1
-        lights.levels = np.concatenate((lights.levels, levels.reshape(4, -1, 2)), axis=1)
-        lights.per_slot = np.concatenate((lights.per_slot, np.repeat(kind.ravel() == PER_SLOT, 2)))
+        lights.row[tag[first]] = len(lights.per_slot) + np.arange(len(first))
+        lights.levels = np.concatenate((lights.levels, levels), axis=1)
+        lights.per_slot = np.concatenate((lights.per_slot, kind.ravel() == PER_SLOT))

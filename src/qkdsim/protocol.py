@@ -49,7 +49,7 @@ class AliceSource:
     `wavelength_nm` describe every pulse as it reaches Bob.
     """
 
-    n_tags = 4  # the tags of `pattern`: slot 0 and the rest, at an even or odd offset
+    n_tags = 2  # the tags of `pattern`: slot 0 and the rest
 
     def __init__(self, mode: str, rng: SlotRng, mean: float = 0.0,
                  wavelength_nm: float = 1551.0):
@@ -73,7 +73,7 @@ class AliceSource:
         of its own."""
         starts = np.array([lo, 1] if lo == 0 and hi > 1 else [lo], dtype=np.int64)
         kind = PER_SLOT if self.mode == "random" else CONSTANT
-        return starts, np.full(len(starts), kind, dtype=np.int8), 2 * (starts > 0)
+        return starts, np.full(len(starts), kind, dtype=np.int8), (starts > 0).astype(np.int64)
 
     def parity_at(self, slots):
         s = np.asarray(slots, dtype=np.int64)

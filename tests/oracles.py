@@ -9,6 +9,7 @@ the acceptance tests.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -486,6 +487,18 @@ def plan_and_source(cfg, streams):
         eve_outcome, mu=cfg.mu, rng=streams.eve, alice_parity_at=alice.parity_at
     )
     return AttackPlan(cfg.attack, cfg.n_slots, alice, streams.cycles, eve), alice
+
+
+def even_cuts(starts, cuts, n: int) -> list:
+    """Chunk bounds from 0 to n for `cuts` moved as `engine.chunks` moves
+    its cuts: a cut inside a piece (the pieces begin at `starts`) up to an
+    even offset from the piece's start, or to the next piece's start."""
+    bounds = {0, n}
+    for cut in cuts:
+        i = bisect.bisect_right(starts, cut) - 1
+        end = starts[i + 1] if i + 1 < len(starts) else n
+        bounds.add(min(cut + (cut - starts[i]) % 2, end))
+    return sorted(bounds)
 
 
 def run_scenario_dense(cfg):

@@ -13,7 +13,7 @@ from qkdsim.optics import ALTERNATING, CONSTANT, PER_SLOT, CouplerModel, mzi_por
 from qkdsim.protocol import AliceSource
 from qkdsim.rng import SlotRng
 
-from oracles import channel_fields_dense, entry_parity_reference, photons_to_dBm
+from oracles import channel_fields_dense, entry_parity_reference, even_cuts, photons_to_dBm
 
 SIGNAL = 0.2 * 10.0**-1.8
 
@@ -225,10 +225,12 @@ def test_config_validation():
     cuts=st.lists(st.integers(min_value=1, max_value=399), max_size=6),
 )
 def test_pattern_describes_every_slot(blinding, window, q, alice_mode, intercept, seed, cuts):
-    """Over each piece of `AttackPlan.pattern`, every slot and its
-    predecessor carry the light of the piece's first slot and its
-    predecessor, and the phase difference (as the dense reference fills
-    it) is constant or alternates as the piece's kind says.  Pieces with
+    """Over each piece of `AttackPlan.pattern`, with [0, n) cut where
+    `engine.chunks` cuts (at a piece start or an even offset into a
+    piece), every slot and its predecessor carry the light of the
+    piece's first slot and its predecessor, and the phase difference (as
+    the dense reference fills it) is constant or alternates as the
+    piece's kind says.  Pieces with
     one tag have one kind, one light and predecessor light, and, unless
     per-slot, one first phase difference."""
     cfg = AttackConfig(
@@ -244,7 +246,7 @@ def test_pattern_describes_every_slot(blinding, window, q, alice_mode, intercept
     light = np.column_stack((mean, lam))
     prev_light = np.vstack(([[0.0, 0.0]], light[:-1]))
     diff = parity ^ np.concatenate(([0], parity[:-1])).astype(np.uint8)
-    bounds = sorted(set(cuts) | {0, n})
+    bounds = even_cuts(plan.pattern(0, n)[0].tolist(), cuts, n)
     seen = {}
     for lo, hi in zip(bounds, bounds[1:]):
         starts, kinds, tags = plan.pattern(lo, hi)

@@ -321,8 +321,17 @@ class TestSweepPower:
         ("--min-dbm", "0", "--max-dbm", "1e400"),
         ("--min-dbm=-1e308", "--max-dbm", "1e308"),
         ("--min-dbm", "0", "--max-dbm", "5000"),
-    ], ids=["few-slots", "inf-max", "inf-step", "photons-overflow"])
-    def test_bad_arguments_exit_1_without_csv(self, tmp_path, capsys, args):
+        ("--slots-per-point", "10000001"),
+        ("--slots-per-point", str(1 << 62)),
+        ("--slots-per-point", str(1 << 63)),
+        ("--points", "10001"),
+    ], ids=["few-slots", "inf-max", "inf-step", "photons-overflow", "many-slots",
+            "slots-2^62", "slots-2^63", "many-points"])
+    def test_bad_arguments_exit_1_without_csv(self, tmp_path, capsys, monkeypatch, args):
+        def simulated(*args, **kwargs):
+            raise AssertionError("a bad argument started a simulation")
+
+        monkeypatch.setattr("qkdsim.cli.count_rate_sweep", simulated)
         out = tmp_path / "x.csv"
         assert run_cli("sweep-power", "--preset", "normal", "--points", "3",
                        "--out-csv", str(out), *args) == 1

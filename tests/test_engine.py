@@ -25,6 +25,7 @@ from qkdsim.rng import RunStreams, SlotRng
 from oracles import (
     brute_qber,
     brute_sift,
+    even_cuts,
     incidents_dense,
     plan_and_source,
     run_scenario_dense,
@@ -432,9 +433,10 @@ def test_piece_levels_cover_every_slot(
     """Every slot shows, at the index `OpticalChain.shown` gives, its exact
     incident mean, bit for bit, in the light type its piece carries,
     whether its chunk's pieces are evaluated for the chunk or cut out of
-    the whole run's (`engine._slice`).  The run covers slot 0 and the
-    first slots of cycles after attacked and after pass-through ones;
-    intercept mode adds port-1 and unserved cycles."""
+    the whole run's (`engine._slice`), with chunks cut as `engine.chunks`
+    cuts them: at piece starts or even offsets into a piece.  The run
+    covers slot 0 and the first slots of cycles after attacked and after
+    pass-through ones; intercept mode adds port-1 and unserved cycles."""
     cfg = ScenarioConfig(
         n_slots=1000,
         mu=mu,
@@ -458,8 +460,8 @@ def test_piece_levels_cover_every_slot(
     chain = OpticalChain(plan, cfg.filter, cfg.coupler, flip, streams.flip)
     whole = _typed_pieces(chain, 0, cfg.n_slots, cfg.detectors)
     parts = []
-    for lo in range(0, cfg.n_slots, chunk):
-        hi = min(lo + chunk, cfg.n_slots)
+    bounds = even_cuts(whole.starts.tolist(), range(chunk, cfg.n_slots, chunk), cfg.n_slots)
+    for lo, hi in zip(bounds, bounds[1:]):
         parts.append(engine._slice(whole, lo, hi))
         for pieces in (_typed_pieces(chain, lo, hi, cfg.detectors), parts[-1]):
             _assert_slots_show_their_means(chain, pieces, lo, hi, incidents, cfg.detectors)
@@ -486,27 +488,31 @@ def _assert_slots_show_their_means(chain, pieces, lo, hi, incidents, detectors):
         assert np.array_equal(pieces.types.bound[d][at], bound)
 
 
-@pytest.mark.parametrize("case", ["normal", "flips-under-attack", "odd-window-intercept"])
-def test_pieces_cut_at_odd_offsets_keep_each_slots_level(case):
-    """A chunk cut at an odd offset into a piece: a patterned piece takes
-    the pair of its light type, whose even and odd levels, candidate
-    levels and bounds are swapped, and a per-slot piece (honest random
-    phases, or any piece under phase flips) keeps them at bit 0 and 1; so
-    do the cut pieces joined again."""
+@_short_window_warns
+@pytest.mark.parametrize("case", sorted(CHUNKING_CASES))
+def test_chunks_are_cut_at_piece_starts_or_even_offsets(case, monkeypatch):
+    """Every cut that `engine.chunks` makes lies at a piece start or at an
+    even offset into the piece that holds it, and each chunk's slots show
+    their incident means in the light types of its pieces.  Budgets of 1
+    and 7 units cut inside the long pieces that carry work: honest light,
+    pass-through cycles, a long window, and a blinding that leaves a
+    detector dim or has phase flips."""
     cfg = dataclasses.replace(CHUNKING_CASES[case](), n_slots=30_011)
     streams = RunStreams(cfg.seed)
     plan, alice = plan_and_source(cfg, streams)
     source = plan if plan is not None else alice
     incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
-    chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
-    whole = _typed_pieces(chain, 0, cfg.n_slots, cfg.detectors)
-    cuts = np.array([0, 2, 9_993, 19_987, 20_000, cfg.n_slots])
-    assert ((cuts[1:-1] - whole.starts[np.searchsorted(whole.starts, cuts[1:-1]) - 1]) & 1).any()
-    parts = [engine._slice(whole, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
-    for lo, hi, pieces in zip(cuts[:-1], cuts[1:], parts):
-        _assert_slots_show_their_means(chain, pieces, lo, hi, incidents, cfg.detectors)
-    _assert_slots_show_their_means(chain, engine._joined(parts[1:4]), cuts[1], cuts[4],
-                                   incidents, cfg.detectors)
+    starts = source.pattern(0, cfg.n_slots)[0]
+    for budget in (1, 7, 997):
+        monkeypatch.setattr(engine, "CHUNK_SLOTS", budget)
+        chain = OpticalChain(source, cfg.filter, cfg.coupler, cfg.phase_flip_prob, streams.flip)
+        lo, _, parts = zip(*engine.chunks(chain, cfg.n_slots, cfg.detectors))
+        offsets = np.subtract(lo, starts[np.searchsorted(starts, lo, side="right") - 1])
+        assert np.all(offsets % 2 == 0)
+        # Each chunk's pieces start at its first slot, so the chunks'
+        # pieces joined hold each chunk's slots in its own pieces.
+        _assert_slots_show_their_means(chain, engine._joined(list(parts)), 0, cfg.n_slots,
+                                       incidents, cfg.detectors)
 
 
 def _spans_of(bright, recovery):
@@ -540,11 +546,12 @@ def _spans_of(bright, recovery):
 def test_spans_from_the_cycle_plan_match_explicit_bright_slots(
     blinding, window, recovery, mode, alice_mode, mu, q, blind, detuned, flip, seed, chunk
 ):
-    """At every chunk cut, the spans built from closed-form runs equal
-    the spans of the bright slots that the dense reference finds.  Intercept
-    mode on a random source gives port-1, port-2 and unserved cycles; the
-    detuned coupler lights one detector of a pair only; mu = 2e5 without
-    loss makes honest light bright."""
+    """At every chunk cut (moved as `engine.chunks` moves it, to a piece
+    start or an even offset into a piece), the spans built from
+    closed-form runs equal the spans of the bright slots that the dense
+    reference finds.  Intercept mode on a random source gives port-1,
+    port-2 and unserved cycles; the detuned coupler lights one detector
+    of a pair only; mu = 2e5 without loss makes honest light bright."""
     cfg = ScenarioConfig(
         n_slots=1500,
         mu=mu,
@@ -564,8 +571,9 @@ def test_spans_from_the_cycle_plan_match_explicit_bright_slots(
     plan, alice = plan_and_source(cfg, streams)
     incidents, _, _ = incidents_dense(cfg, plan, alice, streams, 0, cfg.n_slots, 0.0, 0)
     chain = OpticalChain(plan, cfg.filter, cfg.coupler, flip, streams.flip)
-    for lo in range(0, cfg.n_slots, chunk):
-        hi = min(lo + chunk, cfg.n_slots)
+    bounds = even_cuts(plan.pattern(0, cfg.n_slots)[0].tolist(),
+                       range(chunk, cfg.n_slots, chunk), cfg.n_slots)
+    for lo, hi in zip(bounds, bounds[1:]):
         spans = engine.bright_spans(chain, _typed_pieces(chain, lo, hi, cfg.detectors), hi,
                                     cfg.detectors)
         for (starts, ends), incident, params in zip(spans, incidents, cfg.detectors):
